@@ -17,7 +17,7 @@ from .core import (
     iter_bits,
     stb_mask,
 )
-from .errors import CapExceeded
+from .errors import CapExceeded, InvalidCap
 
 DEFAULT_ENUM_CAP = 20
 ENUM_CAP_ENV = "ARGUDYN_ENUM_CAP"
@@ -28,9 +28,15 @@ def resolve_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(ENUM_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_ENUM_CAP
+    if env is None:
+        return DEFAULT_ENUM_CAP
+    try:
+        value = int(env)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise InvalidCap(f"{ENUM_CAP_ENV}={env!r} is not a nonnegative integer")
+    return value
 
 
 def _gate(af: ArgumentationFramework, cap: int | None) -> None:

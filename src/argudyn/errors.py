@@ -17,6 +17,12 @@ class CapExceeded(ArgudynError):
         self.cap = cap
 
 
+class InvalidCap(ArgudynError, ValueError):
+    """The enumeration cap setting is not a nonnegative integer.
+
+    Also a ValueError, so callers that catch bad values as such still do."""
+
+
 class UnsupportedSemantics(ArgudynError):
     """The requested semantics is outside the supported set for this operation."""
 

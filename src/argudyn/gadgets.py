@@ -692,14 +692,18 @@ def random_three_cnf_two(
     rng: random.Random, n: int, m: int
 ) -> ThreeCnfTwoFormula:
     """Seeded formula source honoring the occurrence cap by rejection;
-    falls back to shorter clauses when a sampled one cannot be placed."""
+    falls back to shorter clauses when a sampled one cannot be placed.
+    A clause must leave one free literal occurrence per later clause; it
+    is rejected after sampling, so formulas that fit anyway keep their
+    random draws."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if m > 4 * n:
         raise ValueError("the occurrence cap allows at most 4n clauses")
     counts: dict[int, int] = {}
     clauses: list[frozenset[int]] = []
-    for _ in range(m):
+    free = 4 * n
+    for later in range(m - 1, -1, -1):
         placed = None
         preferred = rng.randint(1, min(3, n))
         for size in range(preferred, 0, -1):
@@ -708,7 +712,7 @@ def random_three_cnf_two(
                 clause = frozenset(
                     v if rng.random() < 0.5 else -v for v in chosen
                 )
-                if all(counts.get(lit, 0) < 2 for lit in clause):
+                if size <= free - later and all(counts.get(lit, 0) < 2 for lit in clause):
                     placed = clause
                     break
             if placed is not None:
@@ -723,5 +727,6 @@ def random_three_cnf_two(
             placed = frozenset((rng.choice(capacity),))
         for lit in placed:
             counts[lit] = counts.get(lit, 0) + 1
+        free -= len(placed)
         clauses.append(placed)
     return ThreeCnfTwoFormula(n, tuple(clauses))

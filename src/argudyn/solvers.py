@@ -15,6 +15,7 @@ equivalence checks in the gadget tests use that mode).
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -28,7 +29,7 @@ from .core import (
     iter_bits,
     stb_mask,
 )
-from .enumeration import preferred_mask, semistable_mask
+from .enumeration import preferred_mask, resolve_cap, semistable_mask
 from .errors import NotAnExtension, UnsupportedSemantics
 from .firstorder import (
     App1,
@@ -95,23 +96,66 @@ def _result(
 # -- delta enumeration --------------------------------------------------------
 
 
+def _solve_cap(sigma: Semantics, cap: int | None) -> int | None:
+    """The cap a prf/sem solve uses, read once; other semantics ignore it."""
+    if sigma in (Semantics.PREFERRED, Semantics.SEMI_STABLE):
+        return resolve_cap(cap)
+    return cap
+
+
+def _walk(
+    af: ArgumentationFramework,
+    sigma: Semantics,
+    cap: int | None,
+    anchor: int,
+    first: int,
+    last: int,
+    inside: Sequence[int],
+    outside: Sequence[int] = (),
+    allow_empty: bool = False,
+) -> SolveResult:
+    """Walk the change sets of size d = first..last around anchor.
+
+    A change set flips arguments of inside and outside; one with b flips in
+    outside needs at least b+1 in inside.  The least sigma-extension of the
+    first layer that holds any, under the canonical order, is the witness.
+    """
+    start = time.perf_counter()
+    stats = SolveStats()
+    cap = _solve_cap(sigma, cap)
+    # With one pool that misses the anchor, the walk only adds arguments: a
+    # layer's candidates share one size and come in canonical order, so the
+    # first member found is the least.
+    first_wins = not outside and not (anchor and any(anchor >> i & 1 for i in inside))
+    for d in range(first, min(last, len(inside) + len(outside)) + 1):
+        hits: list[int] = []
+        low = (d + 2) // 2 if outside else d
+        for a in range(max(low, d - len(outside)), min(d, len(inside)) + 1):
+            for flips in combinations(inside, a):
+                head = anchor
+                for i in flips:
+                    head ^= 1 << i
+                for more in combinations(outside, d - a):
+                    stats.candidates += 1
+                    e = head
+                    for i in more:
+                        e ^= 1 << i
+                    if (e or allow_empty) and sigma_member_mask(af, e, sigma, cap):
+                        if first_wins:
+                            return _result(af, e, stats, start)
+                        hits.append(e)
+        if hits:
+            return _result(af, _canonical_min(af, hits), stats, start)
+    return _result(af, None, stats, start)
+
+
 def solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int, cap: int | None = None
 ) -> SolveResult:
     """Is there a nonempty sigma-extension with at most k members?"""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    start = time.perf_counter()
-    stats = SolveStats()
-    for size in range(1, min(k, af.n) + 1):
-        for combo in combinations(range(af.n), size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            stats.candidates += 1
-            if sigma_member_mask(af, mask, sigma, cap):
-                return _result(af, mask, stats, start)
-    return _result(af, None, stats, start)
+    return _walk(af, sigma, cap, 0, 1, k, range(af.n))
 
 
 def solve_repair(
@@ -126,24 +170,7 @@ def solve_repair(
         raise ValueError("k must be nonnegative")
     if s.af != af:
         raise ValueError("start set does not belong to the framework")
-    start = time.perf_counter()
-    stats = SolveStats()
-    base = s.mask
-    for d in range(0, min(k, af.n) + 1):
-        hits: list[int] = []
-        for combo in combinations(range(af.n), d):
-            delta = 0
-            for i in combo:
-                delta |= 1 << i
-            stats.candidates += 1
-            e = base ^ delta
-            if e == 0:
-                continue
-            if sigma_member_mask(af, e, sigma, cap):
-                hits.append(e)
-        if hits:
-            return _result(af, _canonical_min(af, hits), stats, start)
-    return _result(af, None, stats, start)
+    return _walk(af, sigma, cap, s.mask, 0, k, range(af.n))
 
 
 def _validate_extension(
@@ -172,27 +199,13 @@ def solve_adjust(
     if e0.af != af:
         raise ValueError("start extension does not belong to the framework")
     t = af.index_of(target)
+    cap = _solve_cap(sigma, cap)
     _validate_extension(af, e0, sigma, cap, "E0")
-    start = time.perf_counter()
-    stats = SolveStats()
-    base = e0.mask
-    tbit = 1 << t
     others = [i for i in range(af.n) if i != t]
-    for d in range(1, min(k, af.n) + 1):
-        hits: list[int] = []
-        for combo in combinations(others, d - 1):
-            delta = tbit
-            for i in combo:
-                delta |= 1 << i
-            stats.candidates += 1
-            e = base ^ delta
-            if require_nonempty and e == 0:
-                continue
-            if sigma_member_mask(af, e, sigma, cap):
-                hits.append(e)
-        if hits:
-            return _result(af, _canonical_min(af, hits), stats, start)
-    return _result(af, None, stats, start)
+    return _walk(
+        af, sigma, cap, e0.mask ^ 1 << t, 0, k - 1, others,
+        allow_empty=not require_nonempty,
+    )
 
 
 def solve_center(
@@ -211,40 +224,16 @@ def solve_center(
     """
     if e1.af != af or e2.af != af:
         raise ValueError("endpoint sets do not belong to the framework")
+    cap = _solve_cap(sigma, cap)
     _validate_extension(af, e1, sigma, cap, "E1")
     _validate_extension(af, e2, sigma, cap, "E2")
-    start = time.perf_counter()
-    stats = SolveStats()
-    k = (e1.mask ^ e2.mask).bit_count()
-    if k == 0:
-        return _result(af, None, stats, start)
-    w = [i for i in range(af.n) if (e1.mask ^ e2.mask) >> i & 1]
-    rest = [i for i in range(af.n) if not (e1.mask ^ e2.mask) >> i & 1]
-    base = e1.mask
-    for d1 in range(1, k):
-        hits: list[int] = []
-        a_min = (d1 + 2) // 2  # need b = d1-a <= a-1
-        for a in range(a_min, min(d1, len(w)) + 1):
-            b = d1 - a
-            if b > len(rest):
-                continue
-            for inside in combinations(w, a):
-                dmask = 0
-                for i in inside:
-                    dmask |= 1 << i
-                for outside in combinations(rest, b):
-                    delta = dmask
-                    for i in outside:
-                        delta |= 1 << i
-                    stats.candidates += 1
-                    e = base ^ delta
-                    if require_nonempty and e == 0:
-                        continue
-                    if sigma_member_mask(af, e, sigma, cap):
-                        hits.append(e)
-        if hits:
-            return _result(af, _canonical_min(af, hits), stats, start)
-    return _result(af, None, stats, start)
+    diff = e1.mask ^ e2.mask
+    w = [i for i in range(af.n) if diff >> i & 1]
+    rest = [i for i in range(af.n) if not diff >> i & 1]
+    return _walk(
+        af, sigma, cap, e1.mask, 1, len(w) - 1, w, rest,
+        allow_empty=not require_nonempty,
+    )
 
 
 # -- branching route for Repair ------------------------------------------------
@@ -383,8 +372,9 @@ def _fo_gate(sigma: Semantics) -> None:
     sigma_of(sigma)  # raises UnsupportedSemantics for prf/sem
 
 
-def _run_product(st, inner, free_vars, n, stats):
-    """Compile inner over the named free variables and scan assignments."""
+def _run_product(st, inner, free_vars, n, stats) -> int | None:
+    """Compile inner over the named free variables and scan assignments;
+    the set of values of the first satisfying one, as a mask, or None."""
     slots = {v: i for i, v in enumerate(free_vars)}
     counter = [len(free_vars)]
     fn = _compile(inner, slots, st, counter)
@@ -394,7 +384,10 @@ def _run_product(st, inner, free_vars, n, stats):
         env[:width] = vals
         stats.candidates += 1
         if fn(env):
-            return vals
+            mask = 0
+            for v in vals:
+                mask |= 1 << v
+            return mask
     return None
 
 
@@ -410,13 +403,7 @@ def fo_solve_small(
     vs = tuple(f"x{i}" for i in range(1, kk + 1))
     inner = sigma_of(sigma)(_set_pred(vs))
     st = structure_of(af)
-    vals = _run_product(st, inner, vs, af.n, stats)
-    if vals is None:
-        return _result(af, None, stats, start)
-    mask = 0
-    for v in vals:
-        mask |= 1 << v
-    return _result(af, mask, stats, start)
+    return _result(af, _run_product(st, inner, vs, af.n, stats), stats, start)
 
 
 def fo_solve_repair(
@@ -440,14 +427,16 @@ def fo_solve_repair(
     for l in range(1, min(k, af.n) + 1):
         vs = tuple(f"x{i}" for i in range(1, l + 1))
         pred = _sym_diff_pred(unary_pred("S"), _set_pred(vs))
-        inner = And((build(pred), Exists("y0", pred("y0"))))
-        vals = _run_product(st, inner, vs, af.n, stats)
-        if vals is not None:
-            delta = 0
-            for v in vals:
-                delta |= 1 << v
+        inner = And((build(pred),) + _nonempty(pred, True))
+        delta = _run_product(st, inner, vs, af.n, stats)
+        if delta is not None:
             return _result(af, s.mask ^ delta, stats, start)
     return _result(af, None, stats, start)
+
+
+def _nonempty(pred, required: bool) -> tuple:
+    """The conjunct "the witness set is nonempty", when it is required."""
+    return (Exists("y0", pred("y0")),) if required else ()
 
 
 def _eval_closed(st, f) -> bool:
@@ -463,6 +452,7 @@ def fo_solve_adjust(
     sigma: Semantics,
     k: int,
     cap: int | None = None,
+    require_nonempty: bool = False,
 ) -> SolveResult:
     _fo_gate(sigma)
     if e0.af != af:
@@ -475,20 +465,14 @@ def fo_solve_adjust(
         return _result(af, None, stats, start)
     kk = min(k, af.n)
     vs = ("t",) + tuple(f"x{i}" for i in range(1, kk))
+    e_pred = _sym_diff_pred(unary_pred("E0"), _set_pred(vs))
     inner = And(
-        (
-            App1("T", "t"),
-            sigma_of(sigma)(_sym_diff_pred(unary_pred("E0"), _set_pred(vs))),
-        )
+        (App1("T", "t"), sigma_of(sigma)(e_pred))
+        + _nonempty(e_pred, require_nonempty)
     )
     st = structure_of(af, E0=e0, T=(target,))
-    vals = _run_product(st, inner, vs, af.n, stats)
-    if vals is None:
-        return _result(af, None, stats, start)
-    delta = 0
-    for v in vals:
-        delta |= 1 << v
-    return _result(af, e0.mask ^ delta, stats, start)
+    delta = _run_product(st, inner, vs, af.n, stats)
+    return _result(af, None if delta is None else e0.mask ^ delta, stats, start)
 
 
 def fo_solve_center(
@@ -497,6 +481,7 @@ def fo_solve_center(
     e2: ArgumentSet,
     sigma: Semantics,
     cap: int | None = None,
+    require_nonempty: bool = False,
 ) -> SolveResult:
     _fo_gate(sigma)
     if e1.af != af or e2.af != af:
@@ -516,15 +501,11 @@ def fo_solve_center(
             sigma_of(sigma)(e_pred),
             at_most(_sym_diff_pred(e_pred, unary_pred("E2")), k - 1),
         )
+        + _nonempty(e_pred, require_nonempty)
     )
     st = structure_of(af, E1=e1, E2=e2)
-    vals = _run_product(st, inner, vs, af.n, stats)
-    if vals is None:
-        return _result(af, None, stats, start)
-    delta = 0
-    for v in vals:
-        delta |= 1 << v
-    return _result(af, e1.mask ^ delta, stats, start)
+    delta = _run_product(st, inner, vs, af.n, stats)
+    return _result(af, None if delta is None else e1.mask ^ delta, stats, start)
 
 
 # -- dispatcher ------------------------------------------------------------------
@@ -552,25 +533,16 @@ def solve_instance(
             return fo_solve_small(af, sigma, instance.k)
         if kind is ProblemKind.REPAIR:
             return fo_solve_repair(af, instance.s, sigma, instance.k)
-        if kind is ProblemKind.ADJUST:
-            return fo_solve_adjust(
-                af, instance.e0, instance.target, sigma, instance.k, cap
-            )
-        return fo_solve_center(af, instance.e1, instance.e2, sigma, cap)
-    if kind is ProblemKind.SMALL:
-        return solve_small(af, sigma, instance.k, cap)
-    if kind is ProblemKind.REPAIR:
-        return solve_repair(af, instance.s, sigma, instance.k, cap)
+        adjust, center = fo_solve_adjust, fo_solve_center
+    else:
+        if kind is ProblemKind.SMALL:
+            return solve_small(af, sigma, instance.k, cap)
+        if kind is ProblemKind.REPAIR:
+            return solve_repair(af, instance.s, sigma, instance.k, cap)
+        adjust, center = solve_adjust, solve_center
     if kind is ProblemKind.ADJUST:
-        return solve_adjust(
-            af,
-            instance.e0,
-            instance.target,
-            sigma,
-            instance.k,
-            cap,
+        return adjust(
+            af, instance.e0, instance.target, sigma, instance.k, cap,
             require_nonempty,
         )
-    return solve_center(
-        af, instance.e1, instance.e2, sigma, cap, require_nonempty
-    )
+    return center(af, instance.e1, instance.e2, sigma, cap, require_nonempty)

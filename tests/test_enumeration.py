@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -6,10 +7,13 @@ from argudyn import (
     ArgumentationFramework,
     CapExceeded,
     DEFAULT_ENUM_CAP,
+    InvalidCap,
     Semantics,
     enumerate_extensions,
     is_preferred,
     is_semistable,
+    solve_adjust,
+    solve_small,
 )
 from argudyn.enumeration import (
     ENUM_CAP_ENV,
@@ -93,6 +97,34 @@ def test_cap_blocks_large_frameworks(monkeypatch):
     monkeypatch.setenv(ENUM_CAP_ENV, "junk")
     with pytest.raises(ValueError):
         resolve_cap(None)
+
+
+@pytest.mark.parametrize("setting", ["junk", "-1"])
+def test_invalid_cap_setting_raises_typed_error(monkeypatch, setting):
+    chain = _chain(3)
+    monkeypatch.setenv(ENUM_CAP_ENV, setting)
+    with pytest.raises(InvalidCap, match=ENUM_CAP_ENV):
+        resolve_cap(None)
+    with pytest.raises(InvalidCap, match=ENUM_CAP_ENV):
+        solve_small(chain, Semantics.PREFERRED, 1)
+    # semantics without a maximality check never read the setting
+    assert solve_small(chain, Semantics.ADMISSIBLE, 1).answer
+
+
+def test_delta_solve_reads_cap_setting_once(monkeypatch):
+    reads = []
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr(os, "environ", Environ(os.environ, **{ENUM_CAP_ENV: "25"}))
+    chain = _chain(5)
+    e0 = chain.set_of(["x0", "x2", "x4"])
+    assert not solve_adjust(chain, e0, "x1", Semantics.SEMI_STABLE, 2).answer
+    assert solve_small(chain, Semantics.PREFERRED, 3).answer
+    assert reads.count(ENUM_CAP_ENV) == 2
 
 
 def test_exists_admissible_superset_matches_brute():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -368,6 +369,18 @@ def test_random_sources_are_well_formed():
         assert 1 <= f.m <= 4 * f.n
     with pytest.raises(ValueError):
         random_three_cnf_two(rng, 1, 5)
+
+
+def test_random_three_cnf_two_places_every_clause_when_tight():
+    # 2- and 3-literal clauses must not use up the 4n literal occurrences
+    # before all m clauses are placed
+    for seed in range(200):
+        f = random_three_cnf_two(random.Random(seed), 4, 8)
+        assert f.n == 4 and f.m == 8
+        occurrences = Counter(lit for clause in f.clauses for lit in clause)
+        assert all(1 <= len(clause) <= 3 for clause in f.clauses)
+        assert all(0 < abs(lit) <= 4 for lit in occurrences)
+        assert max(occurrences.values()) <= 2
 
 
 def test_gadget_outputs_expose_valid_name_maps():

@@ -163,6 +163,55 @@ def test_delta_answers_match_oracle():
             assert solve_center(af, e1, e2, sigma).answer == want_cen
 
 
+def _canonical(af, anchor, witnesses):
+    """The least oracle witness under the delta key: distance to the
+    anchor, then size, then argument indices."""
+    return min(
+        witnesses,
+        key=lambda e: (
+            oracle_distance(e, anchor),
+            len(e),
+            tuple(sorted(af.index_of(x) for x in e)),
+        ),
+        default=None,
+    )
+
+
+def test_delta_witnesses_are_canonical():
+    rng = random.Random(4242)
+    for _ in range(120):
+        af = random_framework(rng, rng.randint(1, 7))
+        args, attacks = af.arguments, set(af.attacks)
+        for sigma in Semantics:
+            k = rng.randint(0, 3)
+            s = _random_set(rng, af)
+            cases = [
+                (solve_small(af, sigma, k), frozenset(),
+                 oracle_small(args, attacks, sigma.value, k)),
+                (solve_repair(af, s, sigma, k), frozenset(s.names),
+                 oracle_repair(args, attacks, sigma.value, frozenset(s.names), k)),
+            ]
+            exts = list(enumerate_extensions(af, sigma))
+            if exts:
+                e0, e1, e2 = (rng.choice(exts) for _ in range(3))
+                target = rng.choice(af.arguments)
+                n0, n1, n2 = (frozenset(e.names) for e in (e0, e1, e2))
+                for nonempty in (False, True):
+                    cases += [
+                        (solve_adjust(af, e0, target, sigma, k,
+                                      require_nonempty=nonempty), n0,
+                         oracle_adjust(args, attacks, sigma.value, n0, target,
+                                       k, nonempty)),
+                        (solve_center(af, e1, e2, sigma,
+                                      require_nonempty=nonempty), n1,
+                         oracle_center(args, attacks, sigma.value, n1, n2,
+                                       nonempty)),
+                    ]
+            for res, anchor, witnesses in cases:
+                got = frozenset(res.witness.names) if res.answer else None
+                assert got == _canonical(af, anchor, witnesses)
+
+
 def _witness_is_valid(af, instance_kind, res, sigma, **kw):
     w = frozenset(res.witness.names)
     args, attacks = af.arguments, set(af.attacks)
@@ -268,6 +317,18 @@ def test_solve_instance_dispatch(f1):
     cen = center_instance(f1, f1.set_of(["a"]), f1.set_of(["b"]), Semantics.STABLE)
     assert not solve_instance(cen).answer
     assert not solve_instance(cen, engine="fo").answer
+    # both engines honour require_nonempty
+    one = ArgumentationFramework(("a",), [])
+    two = ArgumentationFramework(("a", "b"), [])
+    for inst, want in (
+        (adjust_instance(one, one.set_of(["a"]), "a", Semantics.ADMISSIBLE, 1),
+         None),
+        (center_instance(two, two.set_of(["a"]), two.set_of(["b"]),
+                         Semantics.ADMISSIBLE), ("a", "b")),
+    ):
+        for engine in ("delta", "fo"):
+            res = solve_instance(inst, engine=engine, require_nonempty=True)
+            assert (res.witness.names if res.answer else None) == want
 
 
 def test_instance_parameter_and_validation(f1, f4):
