@@ -12,7 +12,6 @@ from .core import (
     Semantics,
     adm_mask,
     attacked_mask,
-    cf_mask,
     com_mask,
     iter_bits,
     stb_mask,
@@ -26,6 +25,8 @@ ENUM_CAP_ENV = "ARGUDYN_ENUM_CAP"
 def resolve_cap(cap: int | None) -> int:
     """Explicit cap, else the ARGUDYN_ENUM_CAP env var, else the default."""
     if cap is not None:
+        if cap < 0:
+            raise InvalidCap(f"enumeration cap {cap!r} is not a nonnegative integer")
         return cap
     env = os.environ.get(ENUM_CAP_ENV)
     if env is None:
@@ -66,23 +67,25 @@ class ExtensionList:
 
 
 def _conflict_free_masks(af: ArgumentationFramework) -> list[int]:
-    """All conflict-free subsets, by depth-first search over argument indices."""
-    n = af.n
+    """All conflict-free subsets, one argument index at a time.
+
+    Each set is followed by itself plus the next argument, when that stays
+    conflict-free: the order of a depth-first search that leaves each
+    argument out before taking it in."""
     attackers = af._attackers
     targets = af._targets
-    out: list[int] = []
-
-    def rec(i: int, mask: int) -> None:
-        if i == n:
-            out.append(mask)
-            return
-        rec(i + 1, mask)
+    out = [0]
+    for i in range(af.n):
         bit = 1 << i
+        if targets[i] & bit:
+            continue  # a self-attacker is in no conflict-free set
         adj = attackers[i] | targets[i]
-        if not (targets[i] & bit) and not (adj & mask):
-            rec(i + 1, mask | bit)
-
-    rec(0, 0)
+        grown: list[int] = []
+        for mask in out:
+            grown.append(mask)
+            if not adj & mask:
+                grown.append(mask | bit)
+        out = grown
     return out
 
 
@@ -135,51 +138,51 @@ def _grow_admissible(
     """True iff some admissible superset of current covers all of cover.
 
     current must be conflict-free.  cover is a mask of arguments that must be
-    in the final set or attacked by it.
+    in the final set or attacked by it.  The depth-first search keeps each
+    open set with the arguments it has still to try on an explicit stack,
+    and adds to failed every set whose tries all failed.
     """
-    if current in failed:
-        return False
     attackers = af._attackers
     targets = af._targets
-    attacked = attacked_mask(af, current)
-
-    # first undefended member, in canonical order
-    for i in iter_bits(current):
-        hole = attackers[i] & ~attacked
-        if hole:
-            z = (hole & -hole).bit_length() - 1
-            for w in iter_bits(attackers[z]):
-                bit = 1 << w
-                if current & bit:
-                    continue
-                if targets[w] & bit:
-                    continue  # self-attacker can never join
-                if (attackers[w] | targets[w]) & current:
-                    continue  # would break conflict-freeness
-                if _grow_admissible(af, current | bit, cover, failed):
+    stack: list[list[int]] = []
+    node = current
+    while True:
+        if node not in failed:
+            attacked = attacked_mask(af, node)
+            # try the defenders of the first undefended member, in canonical
+            # order, else the first uncovered target and its attackers
+            for i in iter_bits(node):
+                hole = attackers[i] & ~attacked
+                if hole:
+                    options = attackers[(hole & -hole).bit_length() - 1]
+                    break
+            else:
+                uncovered = cover & ~(node | attacked)
+                if not uncovered:
                     return True
-            failed.add(current)
+                u = (uncovered & -uncovered).bit_length() - 1
+                options = attackers[u] | (1 << u)
+            stack.append([node, options])
+        while stack:
+            frame = stack[-1]
+            mask, options = frame
+            while options:
+                bit = options & -options
+                options ^= bit
+                w = bit.bit_length() - 1
+                # an argument joins only if the set stays conflict-free
+                if not (mask & bit or targets[w] & bit
+                        or (attackers[w] | targets[w]) & mask):
+                    break
+            else:
+                failed.add(mask)
+                stack.pop()
+                continue
+            frame[1] = options
+            node = mask | bit
+            break
+        else:
             return False
-
-    # first uncovered target
-    uncovered = cover & ~(current | attacked)
-    if uncovered:
-        u = (uncovered & -uncovered).bit_length() - 1
-        options = attackers[u] | (1 << u)
-        for w in iter_bits(options):
-            bit = 1 << w
-            if current & bit:
-                continue
-            if targets[w] & bit:
-                continue
-            if (attackers[w] | targets[w]) & current:
-                continue
-            if _grow_admissible(af, current | bit, cover, failed):
-                return True
-        failed.add(current)
-        return False
-
-    return True
 
 
 def exists_admissible_superset(

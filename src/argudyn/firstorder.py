@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .core import ArgumentationFramework, ArgumentSet, Semantics
 from .errors import InvalidArity, UnboundVariable, UnsupportedSemantics
-from .instances import ProblemInstance, ProblemKind
 
 # -- AST --------------------------------------------------------------------
 
@@ -260,18 +259,6 @@ def structure_of(
     return Structure(af.arguments, af.attacks, {k: tuple(v) for k, v in unary.items()})
 
 
-def build_structure(instance: ProblemInstance) -> Structure:
-    """The model-checking structure for a problem instance."""
-    af = instance.framework
-    if instance.kind is ProblemKind.SMALL:
-        return structure_of(af)
-    if instance.kind is ProblemKind.REPAIR:
-        return structure_of(af, S=instance.s)
-    if instance.kind is ProblemKind.ADJUST:
-        return structure_of(af, E0=instance.e0, T=(instance.target,))
-    return structure_of(af, E1=instance.e1, E2=instance.e2)
-
-
 def gaifman_max_degree(st: Structure) -> int:
     """Max number of distinct other elements sharing a binary tuple."""
     n = len(st.universe)
@@ -355,13 +342,19 @@ def _compile(f: Formula, slots: dict[str, int], st: Structure, counter: list[int
     return fa
 
 
+def _compiled(st: Structure, f: Formula, variables: Sequence[str]):
+    """f compiled with variables in the first slots, and an environment."""
+    counter = [len(variables)]
+    fn = _compile(f, {v: i for i, v in enumerate(variables)}, st, counter)
+    return fn, [0] * counter[0]
+
+
 def evaluate(
     st: Structure, f: Formula, assignment: Mapping[str, str] | None = None
 ) -> bool:
     """Tarskian truth of f in st under the given free-variable assignment."""
     assignment = assignment or {}
     free = sorted(free_variables(f))
-    slots: dict[str, int] = {}
     values: list[int] = []
     for v in free:
         if v not in assignment:
@@ -369,12 +362,31 @@ def evaluate(
         element = assignment[v]
         if element not in st._index:
             raise ValueError(f"element {element!r} is not in the universe")
-        slots[v] = len(slots)
         values.append(st._index[element])
-    counter = [len(slots)]
-    fn = _compile(f, slots, st, counter)
-    env = values + [0] * (counter[0] - len(values))
+    fn, env = _compiled(st, f, free)
+    env[: len(values)] = values
     return fn(env)
+
+
+def first_model(
+    st: Structure, body: Formula, variables: Sequence[str]
+) -> tuple[dict[str, str] | None, int]:
+    """The first assignment of variables under which body holds, and the
+    number of assignments tried.
+
+    Assignments run in product order over the universe, the last variable
+    fastest; with no variables the one empty assignment is tried.
+    """
+    fn, env = _compiled(st, body, variables)
+    width = len(variables)
+    tried = 0
+    for tried, values in enumerate(
+        itertools.product(range(len(st.universe)), repeat=width), 1
+    ):
+        env[:width] = values
+        if fn(env):
+            return dict(zip(variables, (st.universe[i] for i in values))), tried
+    return None, tried
 
 
 # -- semantics transliterations ----------------------------------------------
@@ -485,22 +497,93 @@ def sigma_of(sigma: Semantics) -> Callable[[Union[Formula, Pred]], Formula]:
 
 
 # -- problem sentences ---------------------------------------------------------
+#
+# Each problem has one body builder.  It returns the witness variables and the
+# open body over them: the closed sentence is that body under their
+# existential quantifiers, and the fo engine scans the same body with
+# first_model.  The builder alone adds the nonempty conjunct.
 
 
 def _witness_vars(count: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, count + 1))
 
 
-def small_formula(sigma: Semantics, k: int) -> Formula:
-    """Some nonempty sigma-extension has at most k members."""
+def _flipped(rel: str, variables: tuple[str, ...]) -> Pred:
+    """The set named by rel with the witness variables' values flipped."""
+    if not variables:
+        return unary_pred(rel)
+    return _sym_diff_pred(unary_pred(rel), _set_pred(variables))
+
+
+def _body(
+    variables: tuple[str, ...],
+    items: tuple[Formula, ...],
+    pred: Pred,
+    require_nonempty: bool,
+) -> tuple[tuple[str, ...], Formula]:
+    if require_nonempty:
+        y = fresh_var()
+        items += (Exists(y, pred(y)),)
+    return variables, conj(items)
+
+
+def _closed(variables: tuple[str, ...], body: Formula) -> Formula:
+    for v in reversed(variables):
+        body = Exists(v, body)
+    return body
+
+
+def small_body(sigma: Semantics, k: int) -> tuple[tuple[str, ...], Formula]:
+    """x1..xk name a sigma-extension; that set is never empty."""
     build = sigma_of(sigma)
     if k < 1:
         raise InvalidArity("small formula needs k >= 1")
-    vs = _witness_vars(k)
-    body = build(_set_pred(vs))
-    for v in reversed(vs):
-        body = Exists(v, body)
-    return body
+    variables = _witness_vars(k)
+    return variables, build(_set_pred(variables))
+
+
+def repair_body(
+    sigma: Semantics, k: int, require_nonempty: bool = False
+) -> tuple[tuple[str, ...], Formula]:
+    """S with the values of x1..xk flipped is a sigma-extension; k = 0 is S."""
+    build = sigma_of(sigma)
+    if k < 0:
+        raise InvalidArity("repair body needs k >= 0")
+    variables = _witness_vars(k)
+    pred = _flipped("S", variables)
+    return _body(variables, (build(pred),), pred, require_nonempty)
+
+
+def adjust_body(
+    sigma: Semantics, k: int, require_nonempty: bool = False
+) -> tuple[tuple[str, ...], Formula]:
+    """t is in T, and E0 with the values of t, x1..x(k-1) flipped is a
+    sigma-extension."""
+    build = sigma_of(sigma)
+    if k < 1:
+        raise InvalidArity("adjust formula needs k >= 1")
+    variables = ("t",) + _witness_vars(k - 1)
+    pred = _flipped("E0", variables)
+    return _body(variables, (App1("T", "t"), build(pred)), pred, require_nonempty)
+
+
+def center_body(
+    sigma: Semantics, k: int, require_nonempty: bool = False
+) -> tuple[tuple[str, ...], Formula]:
+    """E1 with the values of x1..x(k-1) flipped is a sigma-extension that
+    differs from E2 in at most k-1 arguments."""
+    build = sigma_of(sigma)
+    if k < 2:
+        raise InvalidArity("center formula needs k >= 2")
+    variables = _witness_vars(k - 1)
+    pred = _flipped("E1", variables)
+    near_e2 = at_most(_sym_diff_pred(pred, unary_pred("E2")), k - 1)
+    return _body(variables, (build(pred), near_e2), pred, require_nonempty)
+
+
+def small_formula(sigma: Semantics, k: int) -> Formula:
+    """Some nonempty sigma-extension has at most k members."""
+    return _closed(*small_body(sigma, k))
 
 
 def repair_formula(sigma: Semantics, k: int) -> Formula:
@@ -510,58 +593,25 @@ def repair_formula(sigma: Semantics, k: int) -> Formula:
     delta variables always denote a nonempty change, and the resulting
     extension is not required to be nonempty.
     """
-    build = sigma_of(sigma)
     if k < 1:
         raise InvalidArity("repair formula needs k >= 1")
-    vs = _witness_vars(k)
-    body = build(_sym_diff_pred(unary_pred("S"), _set_pred(vs)))
-    for v in reversed(vs):
-        body = Exists(v, body)
-    return body
+    return _closed(*repair_body(sigma, k))
 
 
 def corrected_repair_formula(sigma: Semantics, k: int) -> Formula:
     """Exact Repair sentence: nonempty extension within distance k, including 0."""
-    build = sigma_of(sigma)
     if k < 0:
         raise InvalidArity("corrected repair formula needs k >= 0")
-    y = fresh_var()
-    disjuncts: list[Formula] = [
-        And((build(unary_pred("S")), Exists(y, App1("S", y))))
-    ]
-    for l in range(1, k + 1):
-        vs = _witness_vars(l)
-        pred = _sym_diff_pred(unary_pred("S"), _set_pred(vs))
-        y2 = fresh_var()
-        body: Formula = And((build(pred), Exists(y2, pred(y2))))
-        for v in reversed(vs):
-            body = Exists(v, body)
-        disjuncts.append(body)
-    return disj(disjuncts)
+    return disj(
+        _closed(*repair_body(sigma, l, require_nonempty=True)) for l in range(k + 1)
+    )
 
 
 def adjust_formula(sigma: Semantics, k: int) -> Formula:
     """Some sigma-extension within distance k of E0 flips a target in T."""
-    build = sigma_of(sigma)
-    if k < 1:
-        raise InvalidArity("adjust formula needs k >= 1")
-    vs = ("t",) + _witness_vars(k - 1)
-    body: Formula = And((App1("T", "t"), build(_sym_diff_pred(unary_pred("E0"), _set_pred(vs)))))
-    for v in reversed(vs):
-        body = Exists(v, body)
-    return body
+    return _closed(*adjust_body(sigma, k))
 
 
 def center_formula(sigma: Semantics, k: int) -> Formula:
     """Some sigma-extension lies strictly closer than k to both E1 and E2."""
-    build = sigma_of(sigma)
-    if k < 2:
-        raise InvalidArity("center formula needs k >= 2")
-    vs = _witness_vars(k - 1)
-    e_pred = _sym_diff_pred(unary_pred("E1"), _set_pred(vs))
-    body: Formula = And(
-        (build(e_pred), at_most(_sym_diff_pred(e_pred, unary_pred("E2")), k - 1))
-    )
-    for v in reversed(vs):
-        body = Exists(v, body)
-    return body
+    return _closed(*center_body(sigma, k))

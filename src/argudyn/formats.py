@@ -4,16 +4,17 @@ and DIMACS CNF input."""
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ArgumentationFramework
 from .errors import (
     DuplicateArgument,
     IoError,
+    NotThreeCnfTwo,
     ParseError,
     UndeclaredArgument,
 )
-from .gadgets import ThreeCnfTwoFormula
 
 _FACT_RE = re.compile(
     r"\s*(arg|att)\s*\(\s*([A-Za-z0-9_]+)\s*(?:,\s*([A-Za-z0-9_]+)\s*)?\)\s*\."
@@ -126,6 +127,44 @@ def write_tgf(af: ArgumentationFramework) -> str:
     return "\n".join(lines) + "\n"
 
 
+@dataclass(frozen=True)
+class ThreeCnfTwoFormula:
+    """CNF with at most 3 literals per clause and each literal in at most
+    2 clauses.  Literals are nonzero ints: i is variable i, -i its negation.
+    """
+
+    n: int
+    clauses: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise NotThreeCnfTwo("need at least one variable")
+        if not self.clauses:
+            raise NotThreeCnfTwo("need at least one clause")
+        counts: dict[int, int] = {}
+        for idx, clause in enumerate(self.clauses, start=1):
+            if len(clause) > 3:
+                raise NotThreeCnfTwo(f"clause {idx} has more than 3 literals")
+            for lit in clause:
+                if not isinstance(lit, int) or lit == 0 or abs(lit) > self.n:
+                    raise NotThreeCnfTwo(f"clause {idx} has invalid literal {lit!r}")
+                counts[lit] = counts.get(lit, 0) + 1
+                if counts[lit] > 2:
+                    raise NotThreeCnfTwo(
+                        f"literal {lit} occurs in more than 2 clauses"
+                    )
+
+    @property
+    def m(self) -> int:
+        return len(self.clauses)
+
+    def canonical_text(self) -> str:
+        body = ";".join(
+            ",".join(str(l) for l in sorted(clause)) for clause in self.clauses
+        )
+        return f"n={self.n}|{body}"
+
+
 def parse_dimacs_cnf(text: str) -> ThreeCnfTwoFormula:
     """Parse DIMACS CNF: `c` comment lines, a `p cnf VARS CLAUSES` header,
     then whitespace-separated literals with 0 terminating each clause.
@@ -214,6 +253,7 @@ def load_cnf(path: str | Path) -> ThreeCnfTwoFormula:
 
 
 __all__ = [
+    "ThreeCnfTwoFormula",
     "parse_apx",
     "write_apx",
     "parse_tgf",

@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 
 from .core import ArgumentationFramework, Semantics, distance, max_degree
-from .errors import ArgudynError, CapExceeded, NotThreeCnfTwo, OddK, UnsupportedSemantics
+from .errors import ArgudynError, CapExceeded, OddK, UnsupportedSemantics
+from .formats import ThreeCnfTwoFormula
 from .instances import (
     ProblemInstance,
     adjust_instance,
@@ -77,44 +78,6 @@ def kpartite(parts, edges) -> KPartiteGraph:
         tuple(tuple(p) for p in parts),
         frozenset(frozenset(e) for e in edges),
     )
-
-
-@dataclass(frozen=True)
-class ThreeCnfTwoFormula:
-    """CNF with at most 3 literals per clause and each literal in at most
-    2 clauses.  Literals are nonzero ints: i is variable i, -i its negation.
-    """
-
-    n: int
-    clauses: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise NotThreeCnfTwo("need at least one variable")
-        if not self.clauses:
-            raise NotThreeCnfTwo("need at least one clause")
-        counts: dict[int, int] = {}
-        for idx, clause in enumerate(self.clauses, start=1):
-            if len(clause) > 3:
-                raise NotThreeCnfTwo(f"clause {idx} has more than 3 literals")
-            for lit in clause:
-                if not isinstance(lit, int) or lit == 0 or abs(lit) > self.n:
-                    raise NotThreeCnfTwo(f"clause {idx} has invalid literal {lit!r}")
-                counts[lit] = counts.get(lit, 0) + 1
-                if counts[lit] > 2:
-                    raise NotThreeCnfTwo(
-                        f"literal {lit} occurs in more than 2 clauses"
-                    )
-
-    @property
-    def m(self) -> int:
-        return len(self.clauses)
-
-    def canonical_text(self) -> str:
-        body = ";".join(
-            ",".join(str(l) for l in sorted(clause)) for clause in self.clauses
-        )
-        return f"n={self.n}|{body}"
 
 
 def cnf(n: int, clauses) -> ThreeCnfTwoFormula:

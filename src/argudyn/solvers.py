@@ -4,8 +4,9 @@ Delta enumeration is the reference route: it walks candidate change sets in
 canonical order and returns the first witness at the smallest distance
 (ties broken by cardinality, then lexicographic argument order).  The
 branching route handles Repair for adm/com/stb by committing arguments in
-or out, one budget unit per commitment.  The first-order route evaluates
-the problem sentences over the instance structure.
+or out, one budget unit per commitment.  The first-order route scans the
+open bodies of the problem sentences that firstorder builds, one distance
+layer at a time, and returns the first model in product order.
 
 Adjust and Center accept the empty set as a witness by default; pass
 require_nonempty=True to restrict to nonempty witnesses (the reduction
@@ -17,7 +18,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from .core import (
     ArgumentationFramework,
@@ -32,16 +33,13 @@ from .core import (
 from .enumeration import preferred_mask, resolve_cap, semistable_mask
 from .errors import NotAnExtension, UnsupportedSemantics
 from .firstorder import (
-    App1,
-    And,
-    Exists,
-    _compile,
-    _set_pred,
-    _sym_diff_pred,
-    at_most,
+    adjust_body,
+    center_body,
+    first_model,
+    repair_body,
     sigma_of,
+    small_body,
     structure_of,
-    unary_pred,
 )
 from .instances import ProblemInstance, ProblemKind
 
@@ -270,13 +268,6 @@ def solve_repair_branching(
         (af.index_of(a), af.index_of(b)) for a, b in af.sorted_attacks()
     ]
 
-    def checker(mask: int) -> bool:
-        if sigma is Semantics.ADMISSIBLE:
-            return adm_mask(af, mask)
-        if sigma is Semantics.COMPLETE:
-            return com_mask(af, mask)
-        return stb_mask(af, mask)
-
     def search(cin: int, cout: int, budget: int) -> int | None:
         stats.nodes += 1
         e = cin | (base & ~cout)
@@ -359,9 +350,12 @@ def solve_repair_branching(
                         return r
             return None
 
-        return e if checker(e) else None
+        return e if sigma_member_mask(af, e, sigma) else None
 
     witness = search(0, 0, k)
+    # search refers to itself through its closure; breaking that cycle frees
+    # the pair list now rather than at the next cyclic garbage collection
+    del search
     return _result(af, witness, stats, start)
 
 
@@ -372,38 +366,27 @@ def _fo_gate(sigma: Semantics) -> None:
     sigma_of(sigma)  # raises UnsupportedSemantics for prf/sem
 
 
-def _run_product(st, inner, free_vars, n, stats) -> int | None:
-    """Compile inner over the named free variables and scan assignments;
-    the set of values of the first satisfying one, as a mask, or None."""
-    slots = {v: i for i, v in enumerate(free_vars)}
-    counter = [len(free_vars)]
-    fn = _compile(inner, slots, st, counter)
-    env = [0] * counter[0]
-    width = len(free_vars)
-    for vals in product(range(n), repeat=width):
-        env[:width] = vals
-        stats.candidates += 1
-        if fn(env):
-            mask = 0
-            for v in vals:
-                mask |= 1 << v
-            return mask
-    return None
+def _fo_scan(af: ArgumentationFramework, anchor: int, layers, **unary) -> SolveResult:
+    """Scan the layers, (witness variables, open body) pairs, in order over
+    the instance structure; the first model of the first layer that has one
+    names the arguments to flip in anchor."""
+    start = time.perf_counter()
+    stats = SolveStats()
+    st = structure_of(af, **unary)
+    for variables, body in layers:
+        model, tried = first_model(st, body, variables)
+        stats.candidates += tried
+        if model is not None:
+            return _result(af, anchor ^ af.mask_of(model.values()), stats, start)
+    return _result(af, None, stats, start)
 
 
 def fo_solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int
 ) -> SolveResult:
     _fo_gate(sigma)
-    start = time.perf_counter()
-    stats = SolveStats()
-    if k < 1 or af.n == 0:
-        return _result(af, None, stats, start)
-    kk = min(k, af.n)
-    vs = tuple(f"x{i}" for i in range(1, kk + 1))
-    inner = sigma_of(sigma)(_set_pred(vs))
-    st = structure_of(af)
-    return _result(af, _run_product(st, inner, vs, af.n, stats), stats, start)
+    layers = [small_body(sigma, min(k, af.n))] if k >= 1 and af.n else []
+    return _fo_scan(af, 0, layers)
 
 
 def fo_solve_repair(
@@ -413,36 +396,9 @@ def fo_solve_repair(
     _fo_gate(sigma)
     if s.af != af:
         raise ValueError("start set does not belong to the framework")
-    start = time.perf_counter()
-    stats = SolveStats()
-    st = structure_of(af, S=s)
-    build = sigma_of(sigma)
-    if af.n == 0:
-        return _result(af, None, stats, start)
-    # l = 0
-    stats.candidates += 1
-    inner0 = And((build(unary_pred("S")), Exists("y0", App1("S", "y0"))))
-    if _eval_closed(st, inner0):
-        return _result(af, s.mask, stats, start)
-    for l in range(1, min(k, af.n) + 1):
-        vs = tuple(f"x{i}" for i in range(1, l + 1))
-        pred = _sym_diff_pred(unary_pred("S"), _set_pred(vs))
-        inner = And((build(pred),) + _nonempty(pred, True))
-        delta = _run_product(st, inner, vs, af.n, stats)
-        if delta is not None:
-            return _result(af, s.mask ^ delta, stats, start)
-    return _result(af, None, stats, start)
-
-
-def _nonempty(pred, required: bool) -> tuple:
-    """The conjunct "the witness set is nonempty", when it is required."""
-    return (Exists("y0", pred("y0")),) if required else ()
-
-
-def _eval_closed(st, f) -> bool:
-    counter = [0]
-    fn = _compile(f, {}, st, counter)
-    return fn([0] * max(counter[0], 1))
+    widths = range(min(k, af.n) + 1) if af.n else ()
+    layers = (repair_body(sigma, l, require_nonempty=True) for l in widths)
+    return _fo_scan(af, s.mask, layers, S=s)
 
 
 def fo_solve_adjust(
@@ -457,22 +413,10 @@ def fo_solve_adjust(
     _fo_gate(sigma)
     if e0.af != af:
         raise ValueError("start extension does not belong to the framework")
-    t = af.index_of(target)
+    af.index_of(target)  # an unknown target raises ValueError here
     _validate_extension(af, e0, sigma, cap, "E0")
-    start = time.perf_counter()
-    stats = SolveStats()
-    if k < 1:
-        return _result(af, None, stats, start)
-    kk = min(k, af.n)
-    vs = ("t",) + tuple(f"x{i}" for i in range(1, kk))
-    e_pred = _sym_diff_pred(unary_pred("E0"), _set_pred(vs))
-    inner = And(
-        (App1("T", "t"), sigma_of(sigma)(e_pred))
-        + _nonempty(e_pred, require_nonempty)
-    )
-    st = structure_of(af, E0=e0, T=(target,))
-    delta = _run_product(st, inner, vs, af.n, stats)
-    return _result(af, None if delta is None else e0.mask ^ delta, stats, start)
+    layers = [adjust_body(sigma, min(k, af.n), require_nonempty)] if k >= 1 else []
+    return _fo_scan(af, e0.mask, layers, E0=e0, T=(target,))
 
 
 def fo_solve_center(
@@ -488,24 +432,10 @@ def fo_solve_center(
         raise ValueError("endpoint sets do not belong to the framework")
     _validate_extension(af, e1, sigma, cap, "E1")
     _validate_extension(af, e2, sigma, cap, "E2")
-    start = time.perf_counter()
-    stats = SolveStats()
+    # k = dist(E1, E2) <= n, so k - 1 witness variables never exceed n
     k = (e1.mask ^ e2.mask).bit_count()
-    if k < 2:
-        return _result(af, None, stats, start)
-    kk = min(k - 1, af.n)
-    vs = tuple(f"x{i}" for i in range(1, kk + 1))
-    e_pred = _sym_diff_pred(unary_pred("E1"), _set_pred(vs))
-    inner = And(
-        (
-            sigma_of(sigma)(e_pred),
-            at_most(_sym_diff_pred(e_pred, unary_pred("E2")), k - 1),
-        )
-        + _nonempty(e_pred, require_nonempty)
-    )
-    st = structure_of(af, E1=e1, E2=e2)
-    delta = _run_product(st, inner, vs, af.n, stats)
-    return _result(af, None if delta is None else e1.mask ^ delta, stats, start)
+    layers = [center_body(sigma, k, require_nonempty)] if k >= 2 else []
+    return _fo_scan(af, e1.mask, layers, E1=e1, E2=e2)
 
 
 # -- dispatcher ------------------------------------------------------------------
@@ -528,7 +458,6 @@ def solve_instance(
             raise ValueError("branching engine handles only repair")
         return solve_repair_branching(af, instance.s, sigma, instance.k)
     if engine == "fo":
-        _fo_gate(sigma)
         if kind is ProblemKind.SMALL:
             return fo_solve_small(af, sigma, instance.k)
         if kind is ProblemKind.REPAIR:

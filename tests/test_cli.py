@@ -181,6 +181,22 @@ def test_enum_cap_flag(tmp_path, capsys):
     assert "cap" in capsys.readouterr().err
     assert run_cli(argv + ["--enum-cap", "25"]) == 0
     assert capsys.readouterr().out.count("{") == 1
+    assert run_cli(argv + ["--enum-cap", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "-5" in err and "override" not in err
+
+
+def test_enumerate_many_self_attackers(tmp_path, capsys):
+    path = tmp_path / "loops.apx"
+    path.write_text(
+        "".join(f"arg(a{i}).\natt(a{i},a{i}).\n" for i in range(3001)),
+        encoding="utf-8",
+    )
+    argv = ["enumerate", "--af", str(path), "--semantics", "adm",
+            "--enum-cap", "5000"]
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.split() == ["{}"]
 
 
 def test_gen_writes_apx_and_sidecar(tmp_path, capsys):

@@ -109,6 +109,11 @@ def test_invalid_cap_setting_raises_typed_error(monkeypatch, setting):
         solve_small(chain, Semantics.PREFERRED, 1)
     # semantics without a maximality check never read the setting
     assert solve_small(chain, Semantics.ADMISSIBLE, 1).answer
+    # an explicit cap is checked too, and named
+    with pytest.raises(InvalidCap, match="-5"):
+        resolve_cap(-5)
+    with pytest.raises(InvalidCap, match="-5"):
+        solve_small(chain, Semantics.PREFERRED, 1, cap=-5)
 
 
 def test_delta_solve_reads_cap_setting_once(monkeypatch):
@@ -175,3 +180,13 @@ def test_maximality_cap_gate():
     assert not semistable_mask(big, 0, cap=25)
     assert preferred_mask(big, evens, cap=25)
     assert semistable_mask(big, evens, cap=25)
+
+
+def test_maximality_search_on_a_long_chain():
+    # a3000 -> a2999 -> ... -> a0: an admissible superset of {a3000, a0}
+    # takes a2, a4, ..., a2998 in, one defender per step of the search
+    names = tuple(f"a{i}" for i in range(3001))
+    chain = ArgumentationFramework(
+        names, [(names[i + 1], names[i]) for i in range(3000)]
+    )
+    assert not preferred_mask(chain, chain.mask_of(["a3000"]), cap=5000)

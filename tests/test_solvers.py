@@ -19,6 +19,14 @@ from argudyn import (
     repair_instance,
     small_instance,
 )
+from argudyn.firstorder import (
+    adjust_formula,
+    center_formula,
+    corrected_repair_formula,
+    evaluate,
+    small_formula,
+    structure_of,
+)
 from argudyn.solvers import (
     fo_solve_adjust,
     fo_solve_center,
@@ -282,6 +290,38 @@ def test_three_engines_agree_with_verified_witnesses():
                     af, "center", res, sigma,
                     e1=frozenset(e1.names), e2=frozenset(e2.names),
                 )
+
+
+def test_fo_engine_answers_its_closed_sentences():
+    # the engine scans the bodies of the sentences, so its answer is the
+    # truth of the closed sentence in the instance structure
+    rng = random.Random(4711)
+    seen = set()
+    for _ in range(80):
+        af = random_framework(rng, rng.randint(1, 5))
+        sigma = rng.choice(FO_SIGMAS)
+        k = rng.randint(1, 3)
+        s = _random_set(rng, af)
+        cases = [
+            (small_instance(af, sigma, k), small_formula(sigma, k), {}),
+            (repair_instance(af, s, sigma, k - 1),
+             corrected_repair_formula(sigma, k - 1), {"S": s}),
+        ]
+        exts = list(enumerate_extensions(af, sigma))
+        if exts:
+            e0, target = rng.choice(exts), rng.choice(af.arguments)
+            cases.append((adjust_instance(af, e0, target, sigma, k),
+                          adjust_formula(sigma, k), {"E0": e0, "T": (target,)}))
+            e1, e2 = rng.choice(exts), rng.choice(exts)
+            if 2 <= distance(e1, e2) <= 3:
+                cases.append((center_instance(af, e1, e2, sigma),
+                              center_formula(sigma, distance(e1, e2)),
+                              {"E1": e1, "E2": e2}))
+        for inst, sentence, unary in cases:
+            answer = solve_instance(inst, engine="fo", require_nonempty=False).answer
+            assert answer == evaluate(structure_of(af, **unary), sentence), inst
+            seen.add((inst.kind, answer))
+    assert len(seen) == 8  # every problem answered both ways
 
 
 def test_delta_witness_has_minimal_distance(f4):
