@@ -2,10 +2,11 @@
 counts (explored nodes / tested candidates) and wall time, written as CSV.
 
 Suites:
-  repair-degree-sweep  degree-capped frameworks of growing size at fixed
-                       budget k; contrasts the candidate counts of delta
-                       enumeration (growing like n**k) with the node
-                       counts of the branching engine (flat in n).
+  repair-degree-sweep  guarded frameworks (degree 1) of growing size at
+                       fixed budget k, all NO; contrasts the candidate
+                       counts of delta enumeration (growing like n**k)
+                       with the node counts of the branching engine (flat
+                       in n).
   repair-k-sweep       fixed frameworks, budget k swept upward; answers
                        must be monotone in k per instance.
   gadget-validation    runs every generator's yes/no cross-check against
@@ -174,18 +175,31 @@ def _run_repair_both_engines(
     return out
 
 
+def _guarded_framework(pairs: int) -> ArgumentationFramework:
+    """Arguments a0..a(2*pairs-1): each a_i with i < pairs is attacked by its
+    own guard a_(pairs+i), which attacks itself.  No guard can be defended
+    against, so no nonempty admissible set exists, while every set of the
+    first pairs arguments is conflict-free."""
+    names = tuple(f"a{i}" for i in range(2 * pairs))
+    attacks = []
+    for i in range(pairs):
+        guard = names[pairs + i]
+        attacks += [(guard, guard), (guard, names[i])]
+    return ArgumentationFramework(names, attacks)
+
+
 def _suite_degree_sweep(seed: int) -> list[BenchRecord]:
     records: list[BenchRecord] = []
     for k in (1, 2, 3, 4):
         for n in (20, 30, 40, 50, 60):
             rng = _rng(seed, "deg", k, n)
-            af = degree_capped_framework(rng, n, all_self_attacking=True)
-            start = af.set_of(rng.sample(af.arguments, k + 2))
+            af = _guarded_framework(n // 2)
+            start = af.set_of(rng.sample(af.arguments[: n // 2], k + 2))
             instance = repair_instance(af, start, Semantics.ADMISSIBLE, k)
             records += _run_repair_both_engines(
-                f"deg3-k{k}-n{n}",
-                "degree-capped-random",
-                f"seed={seed};k={k};n={n};all_self=1",
+                f"deg1-k{k}-n{n}",
+                "guarded",
+                f"seed={seed};k={k};n={n};guarded=1",
                 instance,
             )
     return records

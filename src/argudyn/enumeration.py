@@ -127,59 +127,79 @@ def enumerate_extensions(
 # no admissible set with strictly larger range.  Both are decided by a
 # backtracking search that grows a candidate set, branching over the
 # defenders of an undefended member (or the covers of an uncovered target).
-# The search is exponential in the worst case, hence the same cap gate as
-# the enumerator, but it follows the attack structure so it stays shallow on
-# the generated hardness instances.
+# A prf check runs it from each outsider added to S, all with one failed
+# memo; a sem check runs it once, for a set whose range holds S's range and
+# more.  The search is exponential in the worst case, hence the same cap
+# gate as the enumerator, but it follows the attack structure so it stays
+# shallow on the generated hardness instances.
 
 
 def _grow_admissible(
-    af: ArgumentationFramework, current: int, cover: int, failed: set[int]
+    af: ArgumentationFramework,
+    current: int,
+    hit: int,
+    cover: int,
+    failed: set[int],
+    reach: int = 0,
 ) -> bool:
-    """True iff some admissible superset of current covers all of cover.
+    """True iff some admissible superset of current covers all of cover and,
+    when reach is nonzero, has some argument of reach in its range.
 
-    current must be conflict-free.  cover is a mask of arguments that must be
-    in the final set or attacked by it.  The depth-first search keeps each
-    open set with the arguments it has still to try on an explicit stack,
-    and adds to failed every set whose tries all failed.
+    current must be conflict-free, and hit is the mask of what it attacks.
+    cover is a mask of arguments that must be in the final set or attacked
+    by it.  The depth-first search keeps each open set, what it attacks and
+    the arguments it has still to try on an explicit stack, and adds to
+    failed every set whose tries all failed; that depends only on the set,
+    cover and reach, so searches with the same cover and reach can share it.
     """
     attackers = af._attackers
     targets = af._targets
+    # any set whose range meets reach holds an argument of reach or one of
+    # its attackers
+    reach_options = 0
+    for z in iter_bits(reach):
+        reach_options |= attackers[z] | 1 << z
     stack: list[list[int]] = []
     node = current
     while True:
         if node not in failed:
-            attacked = attacked_mask(af, node)
             # try the defenders of the first undefended member, in canonical
-            # order, else the first uncovered target and its attackers
+            # order, else the first uncovered target and its attackers, else
+            # a way into the range of reach
             for i in iter_bits(node):
-                hole = attackers[i] & ~attacked
+                hole = attackers[i] & ~hit
                 if hole:
                     options = attackers[(hole & -hole).bit_length() - 1]
                     break
             else:
-                uncovered = cover & ~(node | attacked)
-                if not uncovered:
+                covered = node | hit
+                uncovered = cover & ~covered
+                if uncovered:
+                    u = (uncovered & -uncovered).bit_length() - 1
+                    options = attackers[u] | (1 << u)
+                elif not reach or covered & reach:
                     return True
-                u = (uncovered & -uncovered).bit_length() - 1
-                options = attackers[u] | (1 << u)
-            stack.append([node, options])
+                else:
+                    options = reach_options
+            stack.append([node, hit, options])
         while stack:
             frame = stack[-1]
-            mask, options = frame
+            mask, hit, options = frame
             while options:
                 bit = options & -options
                 options ^= bit
                 w = bit.bit_length() - 1
-                # an argument joins only if the set stays conflict-free
-                if not (mask & bit or targets[w] & bit
-                        or (attackers[w] | targets[w]) & mask):
+                # an argument joins only if the set stays conflict-free; no
+                # option is in mask already, as mask attacks none of them
+                if not (attackers[w] | targets[w]) & (mask | bit):
                     break
             else:
                 failed.add(mask)
                 stack.pop()
                 continue
-            frame[1] = options
+            frame[2] = options
             node = mask | bit
+            hit |= targets[w]
             break
         else:
             return False
@@ -189,9 +209,10 @@ def exists_admissible_superset(
     af: ArgumentationFramework, seed_mask: int
 ) -> bool:
     """True iff some admissible set contains all of seed_mask."""
-    if attacked_mask(af, seed_mask) & seed_mask:
+    hit = attacked_mask(af, seed_mask)
+    if hit & seed_mask:
         return False
-    return _grow_admissible(af, seed_mask, 0, set())
+    return _grow_admissible(af, seed_mask, hit, 0, set())
 
 
 def preferred_mask(
@@ -200,8 +221,15 @@ def preferred_mask(
     _gate(af, cap)
     if not adm_mask(af, mask):
         return False
-    for y in iter_bits(af.full_mask & ~mask):
-        if exists_admissible_superset(af, mask | (1 << y)):
+    targets = af._targets
+    hit = attacked_mask(af, mask)
+    failed: set[int] = set()
+    # an outsider that mask attacks can never join it
+    for y in iter_bits(af.full_mask & ~(mask | hit)):
+        seed = mask | 1 << y
+        if not targets[y] & seed and _grow_admissible(
+            af, seed, hit | targets[y], 0, failed
+        ):
             return False
     return True
 
@@ -213,10 +241,10 @@ def semistable_mask(
     if not adm_mask(af, mask):
         return False
     rng = mask | attacked_mask(af, mask)
-    for z in iter_bits(af.full_mask & ~rng):
-        if _grow_admissible(af, 0, rng | (1 << z), set()):
-            return False
-    return True
+    if rng == af.full_mask:
+        return True
+    # an admissible set whose range holds rng and more
+    return not _grow_admissible(af, 0, 0, rng, set(), af.full_mask & ~rng)
 
 
 def is_preferred(

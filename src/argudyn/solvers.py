@@ -16,7 +16,7 @@ equivalence checks in the gadget tests use that mode).
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -26,6 +26,7 @@ from .core import (
     Semantics,
     adm_mask,
     attacked_mask,
+    cf_mask,
     com_mask,
     iter_bits,
     stb_mask,
@@ -101,6 +102,74 @@ def _solve_cap(sigma: Semantics, cap: int | None) -> int | None:
     return cap
 
 
+def _additions(
+    af: ArgumentationFramework, base: int, stages: tuple[tuple[list[int], int], ...]
+) -> Iterator[int]:
+    """Yield base plus m arguments of pool for each (pool, m) of stages,
+    skipping every set that is not conflict-free; base must be conflict-free.
+
+    The picks of one stage take increasing positions in its pool, so each
+    set comes once, in lexicographic order of the additions.  The open sets
+    sit on an explicit stack with the next position each has to try.
+    """
+    attackers = af._attackers
+    targets = af._targets
+    # each pick: its pool, one past the last position it can take, and
+    # whether it starts its stage
+    picks = [
+        (pool, len(pool) - m + t + 1, t == 0) for pool, m in stages for t in range(m)
+    ]
+    if not picks:
+        yield base
+        return
+    last = len(picks) - 1
+    stack = [[base, 0]]
+    while stack:
+        frame = stack[-1]
+        mask, p = frame
+        j = len(stack) - 1
+        pool, end, _ = picks[j]
+        while p < end:
+            w = pool[p]
+            p += 1
+            bit = 1 << w
+            if not (attackers[w] | targets[w]) & (mask | bit):
+                break
+        else:
+            stack.pop()
+            continue
+        frame[1] = p
+        if j == last:
+            yield mask | bit
+        else:
+            stack.append([mask | bit, 0 if picks[j + 1][2] else p])
+
+
+def _change_sets(
+    af: ArgumentationFramework,
+    anchor: int,
+    pools: list[tuple[list[int], list[int]]],
+    counts: tuple[int, int],
+) -> Iterator[int]:
+    """Yield the conflict-free sets that flip counts[j] arguments of the j-th
+    pool in anchor.  A pool is (its members in anchor, the rest); removals
+    are chosen first, and a kept set that is not conflict-free ends the
+    branch."""
+    (drop_in, add_in), (drop_out, add_out) = pools
+    a, b = counts
+    whole = cf_mask(af, anchor)  # then so is every kept set
+    for r in range(max(0, a - len(add_in)), min(a, len(drop_in)) + 1):
+        for q in range(max(0, b - len(add_out)), min(b, len(drop_out)) + 1):
+            stages = ((add_in, a - r), (add_out, b - q))
+            for gone in combinations(drop_in, r):
+                for gone_out in combinations(drop_out, q):
+                    kept = anchor
+                    for i in gone + gone_out:
+                        kept ^= 1 << i
+                    if whole or cf_mask(af, kept):
+                        yield from _additions(af, kept, stages)
+
+
 def _walk(
     af: ArgumentationFramework,
     sigma: Semantics,
@@ -112,7 +181,8 @@ def _walk(
     outside: Sequence[int] = (),
     allow_empty: bool = False,
 ) -> SolveResult:
-    """Walk the change sets of size d = first..last around anchor.
+    """Walk the conflict-free change sets of size d = first..last around
+    anchor.
 
     A change set flips arguments of inside and outside; one with b flips in
     outside needs at least b+1 in inside.  The least sigma-extension of the
@@ -121,27 +191,27 @@ def _walk(
     start = time.perf_counter()
     stats = SolveStats()
     cap = _solve_cap(sigma, cap)
+    # the anchor's bits, read once: shifting a large anchor once per argument
+    # would cost O(n) each time
+    bits = f"{anchor:0{af.n}b}"[::-1]
+    pools = [
+        ([i for i in pool if bits[i] == "1"], [i for i in pool if bits[i] == "0"])
+        for pool in (inside, outside)
+    ]
     # With one pool that misses the anchor, the walk only adds arguments: a
     # layer's candidates share one size and come in canonical order, so the
     # first member found is the least.
-    first_wins = not outside and not (anchor and any(anchor >> i & 1 for i in inside))
+    first_wins = not outside and not pools[0][0]
     for d in range(first, min(last, len(inside) + len(outside)) + 1):
         hits: list[int] = []
         low = (d + 2) // 2 if outside else d
         for a in range(max(low, d - len(outside)), min(d, len(inside)) + 1):
-            for flips in combinations(inside, a):
-                head = anchor
-                for i in flips:
-                    head ^= 1 << i
-                for more in combinations(outside, d - a):
-                    stats.candidates += 1
-                    e = head
-                    for i in more:
-                        e ^= 1 << i
-                    if (e or allow_empty) and sigma_member_mask(af, e, sigma, cap):
-                        if first_wins:
-                            return _result(af, e, stats, start)
-                        hits.append(e)
+            for e in _change_sets(af, anchor, pools, (a, d - a)):
+                stats.candidates += 1
+                if (e or allow_empty) and sigma_member_mask(af, e, sigma, cap):
+                    if first_wins:
+                        return _result(af, e, stats, start)
+                    hits.append(e)
         if hits:
             return _result(af, _canonical_min(af, hits), stats, start)
     return _result(af, None, stats, start)
@@ -385,6 +455,8 @@ def fo_solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int
 ) -> SolveResult:
     _fo_gate(sigma)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     layers = [small_body(sigma, min(k, af.n))] if k >= 1 and af.n else []
     return _fo_scan(af, 0, layers)
 
@@ -394,6 +466,8 @@ def fo_solve_repair(
 ) -> SolveResult:
     """Repair via the corrected sentence: distance-l disjuncts, l = 0..k."""
     _fo_gate(sigma)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if s.af != af:
         raise ValueError("start set does not belong to the framework")
     widths = range(min(k, af.n) + 1) if af.n else ()
@@ -411,6 +485,8 @@ def fo_solve_adjust(
     require_nonempty: bool = False,
 ) -> SolveResult:
     _fo_gate(sigma)
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if e0.af != af:
         raise ValueError("start extension does not belong to the framework")
     af.index_of(target)  # an unknown target raises ValueError here

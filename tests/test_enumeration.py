@@ -158,6 +158,29 @@ def test_maximality_checks_match_enumeration():
             assert is_semistable(af, s) == (members in sem)
 
 
+def test_maximality_checks_match_oracle_on_every_subset():
+    rng = random.Random(8080)
+    for n in range(1, 9):
+        for _ in range(15):
+            af = random_framework(rng, n)
+            attacks = set(af.attacks)
+            prf = oracle_extensions(af.arguments, attacks, "prf")
+            sem = oracle_extensions(af.arguments, attacks, "sem")
+            for s in af.all_subsets():
+                members = frozenset(s.names)
+                assert preferred_mask(af, s.mask) == (members in prf), (af, s)
+                assert semistable_mask(af, s.mask) == (members in sem), (af, s)
+
+
+def test_a_set_whose_range_is_everything_is_semistable():
+    lone = ArgumentationFramework(("a",), [])
+    pair = ArgumentationFramework(("a", "b"), [("a", "b"), ("b", "a")])
+    for af in (lone, pair):
+        a = af.mask_of(["a"])
+        assert semistable_mask(af, a)
+        assert preferred_mask(af, a)
+
+
 def test_nonadmissible_sets_are_never_maximal():
     rng = random.Random(23)
     for _ in range(40):

@@ -19,6 +19,7 @@ from argudyn import (
     repair_instance,
     small_instance,
 )
+from argudyn import solvers
 from argudyn.firstorder import (
     adjust_formula,
     center_formula,
@@ -38,9 +39,11 @@ from conftest import random_framework
 from oracles import (
     oracle_adjust,
     oracle_center,
+    oracle_conflict_free,
     oracle_distance,
     oracle_repair,
     oracle_small,
+    powerset,
 )
 
 FO_SIGMAS = (Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.STABLE)
@@ -220,6 +223,73 @@ def test_delta_witnesses_are_canonical():
                 assert got == _canonical(af, anchor, witnesses)
 
 
+def _walked_sets(af, kind, rng, sigma):
+    """A seeded question of the given kind, as (delta result, the predicate
+    on oracle sets that picks the change sets its walk visits)."""
+    k = rng.randint(0, 3)
+    if kind == "small":
+        return solve_small(af, sigma, k), lambda e: 1 <= len(e) <= k
+    if kind == "repair":
+        s = frozenset(_random_set(rng, af).names)
+        res = solve_repair(af, af.set_of(s), sigma, k)
+        return res, lambda e: oracle_distance(e, s) <= k
+    exts = list(enumerate_extensions(af, sigma))
+    if not exts:
+        return None, None
+    if kind == "adjust":
+        e0, target = rng.choice(exts), rng.choice(af.arguments)
+        n0 = frozenset(e0.names)
+        res = solve_adjust(af, e0, target, sigma, k)
+        return res, lambda e: target in e ^ n0 and oracle_distance(e, n0) <= k
+    e1, e2 = rng.choice(exts), rng.choice(exts)
+    n1, n2 = frozenset(e1.names), frozenset(e2.names)
+    d = oracle_distance(n1, n2)
+    res = solve_center(af, e1, e2, sigma)
+    return res, lambda e: oracle_distance(e, n1) < d and oracle_distance(e, n2) < d
+
+
+def test_delta_walks_only_conflict_free_change_sets(monkeypatch):
+    seen = []
+    member = solvers.sigma_member_mask
+
+    def recording(af, mask, *rest):
+        seen.append((af, mask))
+        return member(af, mask, *rest)
+
+    monkeypatch.setattr(solvers, "sigma_member_mask", recording)
+    rng = random.Random(5150)
+    no_cases = dict.fromkeys(("small", "repair", "adjust", "center"), 0)
+    for _ in range(120):
+        af = random_framework(rng, rng.randint(1, 7))
+        attacks = set(af.attacks)
+        for sigma in Semantics:
+            for kind in no_cases:
+                res, walked = _walked_sets(af, kind, rng, sigma)
+                if res is None or res.answer:
+                    continue
+                no_cases[kind] += 1
+                want = sum(
+                    1 for e in powerset(af.arguments)
+                    if walked(e) and oracle_conflict_free(attacks, e)
+                )
+                assert res.stats.candidates == want, (af, sigma, kind)
+    assert min(no_cases.values()) >= 100, no_cases
+    assert seen and all(
+        oracle_conflict_free(af.attacks, af.set_from_mask(mask).names)
+        for af, mask in seen
+    )
+    # with every argument attacking itself, only the empty set is
+    # conflict-free, and these walks never reach it
+    selfish = ArgumentationFramework(("a", "b", "c"), [(x, x) for x in "abc"])
+    everyone = selfish.set_of("abc")
+    for res in (
+        solve_small(selfish, Semantics.ADMISSIBLE, 3),
+        solve_repair(selfish, everyone, Semantics.ADMISSIBLE, 2),
+        solve_adjust(selfish, selfish.set_of([]), "b", Semantics.ADMISSIBLE, 3),
+    ):
+        assert not res.answer and res.stats.candidates == 0
+
+
 def _witness_is_valid(af, instance_kind, res, sigma, **kw):
     w = frozenset(res.witness.names)
     args, attacks = af.arguments, set(af.attacks)
@@ -369,6 +439,21 @@ def test_solve_instance_dispatch(f1):
         for engine in ("delta", "fo"):
             res = solve_instance(inst, engine=engine, require_nonempty=True)
             assert (res.witness.names if res.answer else None) == want
+    # every engine rejects a negative budget
+    ab = ArgumentationFramework(("a", "b"), [("a", "b")])
+    a = ab.set_of(["a"])
+    sigma = Semantics.ADMISSIBLE
+    for call in (
+        lambda: solve_small(ab, sigma, -1),
+        lambda: solve_repair(ab, a, sigma, -1),
+        lambda: solve_adjust(ab, a, "b", sigma, -1),
+        lambda: solve_repair_branching(ab, a, sigma, -1),
+        lambda: fo_solve_small(ab, sigma, -1),
+        lambda: fo_solve_repair(ab, a, sigma, -1),
+        lambda: fo_solve_adjust(ab, a, "b", sigma, -1),
+    ):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            call()
 
 
 def test_instance_parameter_and_validation(f1, f4):
