@@ -40,6 +40,11 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def mask_key(mask: int) -> tuple[int, tuple[int, ...]]:
+    """Canonical order key of a set as mask: cardinality, then index tuple."""
+    return (mask.bit_count(), tuple(iter_bits(mask)))
+
+
 class ArgumentationFramework:
     """A finite directed attack graph over named arguments.
 
@@ -213,7 +218,7 @@ class ArgumentSet:
 
     def sort_key(self) -> tuple[int, tuple[int, ...]]:
         """Canonical order key: cardinality, then index tuple."""
-        return (self.mask.bit_count(), tuple(iter_bits(self.mask)))
+        return mask_key(self.mask)
 
     def __repr__(self) -> str:
         return "{" + ",".join(self) + "}"

@@ -125,13 +125,20 @@ def enumerate_extensions(
 #
 # Membership in prf/sem needs a co-NP style check: no admissible superset /
 # no admissible set with strictly larger range.  Both are decided by a
-# backtracking search that grows a candidate set, branching over the
-# defenders of an undefended member (or the covers of an uncovered target).
-# A prf check runs it from each outsider added to S, all with one failed
+# backtracking search that grows a candidate set.  Each open set carries its
+# threat: the attackers of its members that it does not attack yet.  The
+# search branches on the defenders against the lowest argument of the threat
+# (some member of any admissible superset must attack it), and once the
+# threat is empty on the covers of an uncovered target.  So a step costs a
+# few mask operations, not a scan of the set (the per-set bookkeeping of
+# labelling-based backtracking: Nofal, Atkinson & Dunne, AIJ 2014).  A prf
+# check runs the search from each outsider added to S, all with one failed
 # memo; a sem check runs it once, for a set whose range holds S's range and
-# more.  The search is exponential in the worst case, hence the same cap
-# gate as the enumerator, but it follows the attack structure so it stays
-# shallow on the generated hardness instances.
+# more.  The search is exponential in the worst case, hence the same cap gate
+# as the enumerator, but it follows the attack structure so it stays shallow
+# on the generated hardness instances.  The delta walk calls these checks
+# last in a prf/sem layer: on its admissible candidates in canonical order,
+# until one passes.
 
 
 def _grow_admissible(
@@ -147,10 +154,11 @@ def _grow_admissible(
 
     current must be conflict-free, and hit is the mask of what it attacks.
     cover is a mask of arguments that must be in the final set or attacked
-    by it.  The depth-first search keeps each open set, what it attacks and
-    the arguments it has still to try on an explicit stack, and adds to
-    failed every set whose tries all failed; that depends only on the set,
-    cover and reach, so searches with the same cover and reach can share it.
+    by it.  The depth-first search keeps each open set, what it attacks, its
+    threat and the arguments it has still to try on an explicit stack, and
+    adds to failed every set whose tries all failed; that depends only on
+    the set, cover and reach, so searches with the same cover and reach can
+    share it.
     """
     attackers = af._attackers
     targets = af._targets
@@ -159,18 +167,19 @@ def _grow_admissible(
     reach_options = 0
     for z in iter_bits(reach):
         reach_options |= attackers[z] | 1 << z
+    threat = 0
+    for i in iter_bits(current):
+        threat |= attackers[i]
+    threat &= ~hit
     stack: list[list[int]] = []
     node = current
     while True:
         if node not in failed:
-            # try the defenders of the first undefended member, in canonical
+            # try the defenders against the lowest threat, in canonical
             # order, else the first uncovered target and its attackers, else
             # a way into the range of reach
-            for i in iter_bits(node):
-                hole = attackers[i] & ~hit
-                if hole:
-                    options = attackers[(hole & -hole).bit_length() - 1]
-                    break
+            if threat:
+                options = attackers[(threat & -threat).bit_length() - 1]
             else:
                 covered = node | hit
                 uncovered = cover & ~covered
@@ -181,10 +190,10 @@ def _grow_admissible(
                     return True
                 else:
                     options = reach_options
-            stack.append([node, hit, options])
+            stack.append([node, hit, threat, options])
         while stack:
             frame = stack[-1]
-            mask, hit, options = frame
+            mask, hit, threat, options = frame
             while options:
                 bit = options & -options
                 options ^= bit
@@ -197,9 +206,10 @@ def _grow_admissible(
                 failed.add(mask)
                 stack.pop()
                 continue
-            frame[2] = options
+            frame[3] = options
             node = mask | bit
             hit |= targets[w]
+            threat = (threat | attackers[w]) & ~hit
             break
         else:
             return False

@@ -111,51 +111,6 @@ def free_variables(f: Formula) -> frozenset[str]:
     return free_variables(f.body) - {f.var}
 
 
-def quantifier_depth(f: Formula) -> int:
-    if isinstance(f, (Eq, App1, App2)):
-        return 0
-    if isinstance(f, Not):
-        return quantifier_depth(f.body)
-    if isinstance(f, (And, Or)):
-        return max((quantifier_depth(i) for i in f.items), default=0)
-    if isinstance(f, Implies):
-        return max(quantifier_depth(f.left), quantifier_depth(f.right))
-    return 1 + quantifier_depth(f.body)
-
-
-def formula_length(f: Formula) -> int:
-    if isinstance(f, (Eq, App1, App2)):
-        return 1
-    if isinstance(f, Not):
-        return 1 + formula_length(f.body)
-    if isinstance(f, (And, Or)):
-        return 1 + sum(formula_length(i) for i in f.items)
-    if isinstance(f, Implies):
-        return 1 + formula_length(f.left) + formula_length(f.right)
-    return 1 + formula_length(f.body)
-
-
-def to_prefix(f: Formula) -> str:
-    """Plain prefix-notation dump, mainly for debugging and goldens."""
-    if isinstance(f, Eq):
-        return f"(= {f.left} {f.right})"
-    if isinstance(f, App1):
-        return f"({f.rel} {f.arg})"
-    if isinstance(f, App2):
-        return f"({f.rel} {f.left} {f.right})"
-    if isinstance(f, Not):
-        return f"(not {to_prefix(f.body)})"
-    if isinstance(f, And):
-        return "(and " + " ".join(to_prefix(i) for i in f.items) + ")"
-    if isinstance(f, Or):
-        return "(or " + " ".join(to_prefix(i) for i in f.items) + ")"
-    if isinstance(f, Implies):
-        return f"(implies {to_prefix(f.left)} {to_prefix(f.right)})"
-    if isinstance(f, Exists):
-        return f"(exists {f.var} {to_prefix(f.body)})"
-    return f"(forall {f.var} {to_prefix(f.body)})"
-
-
 # -- substitution -------------------------------------------------------------
 
 _fresh_counter = itertools.count(1)

@@ -29,10 +29,11 @@ from .core import (
     cf_mask,
     com_mask,
     iter_bits,
+    mask_key,
     stb_mask,
 )
 from .enumeration import preferred_mask, resolve_cap, semistable_mask
-from .errors import NotAnExtension, UnsupportedSemantics
+from .errors import CapExceeded, NotAnExtension, UnsupportedSemantics
 from .firstorder import (
     adjust_body,
     center_body,
@@ -74,10 +75,6 @@ def sigma_member_mask(
     if sigma is Semantics.PREFERRED:
         return preferred_mask(af, mask, cap)
     return semistable_mask(af, mask, cap)
-
-
-def _canonical_min(af: ArgumentationFramework, masks: list[int]) -> int:
-    return min(masks, key=lambda m: (m.bit_count(), tuple(iter_bits(m))))
 
 
 def _result(
@@ -202,18 +199,31 @@ def _walk(
     # layer's candidates share one size and come in canonical order, so the
     # first member found is the least.
     first_wins = not outside and not pools[0][0]
+    # Otherwise a prf/sem layer keeps its admissible candidates and runs the
+    # costly maximality check last, in canonical order, until one passes.
+    deferred = not first_wins and sigma in (Semantics.PREFERRED, Semantics.SEMI_STABLE)
     for d in range(first, min(last, len(inside) + len(outside)) + 1):
         hits: list[int] = []
         low = (d + 2) // 2 if outside else d
         for a in range(max(low, d - len(outside)), min(d, len(inside)) + 1):
             for e in _change_sets(af, anchor, pools, (a, d - a)):
                 stats.candidates += 1
-                if (e or allow_empty) and sigma_member_mask(af, e, sigma, cap):
+                if not (e or allow_empty):
+                    continue
+                if deferred:
+                    # where the maximality check's cap gate would raise
+                    if af.n > cap:
+                        raise CapExceeded(af.n, cap)
+                    if adm_mask(af, e):
+                        hits.append(e)
+                elif sigma_member_mask(af, e, sigma, cap):
                     if first_wins:
                         return _result(af, e, stats, start)
                     hits.append(e)
-        if hits:
-            return _result(af, _canonical_min(af, hits), stats, start)
+        hits.sort(key=mask_key)
+        for e in hits:
+            if not deferred or sigma_member_mask(af, e, sigma, cap):
+                return _result(af, e, stats, start)
     return _result(af, None, stats, start)
 
 

@@ -15,6 +15,8 @@ from argudyn import (
     solve_adjust,
     solve_small,
 )
+from argudyn import enumeration
+from argudyn.core import iter_bits
 from argudyn.enumeration import (
     ENUM_CAP_ENV,
     exists_admissible_superset,
@@ -213,3 +215,23 @@ def test_maximality_search_on_a_long_chain():
         names, [(names[i + 1], names[i]) for i in range(3000)]
     )
     assert not preferred_mask(chain, chain.mask_of(["a3000"]), cap=5000)
+
+
+def test_maximality_search_steps_are_linear_on_a_long_chain(monkeypatch):
+    # the search from {a3000, a0} adds a2, a4, ..., a2998; a step must not
+    # scan the members of the growing set
+    names = tuple(f"a{i}" for i in range(3001))
+    chain = ArgumentationFramework(
+        names, [(names[i + 1], names[i]) for i in range(3000)]
+    )
+    steps = 0
+
+    def counted(mask):
+        nonlocal steps
+        for i in iter_bits(mask):
+            steps += 1
+            yield i
+
+    monkeypatch.setattr(enumeration, "iter_bits", counted)
+    assert not preferred_mask(chain, chain.mask_of(["a3000"]), cap=5000)
+    assert steps <= 4 * chain.n

@@ -411,6 +411,36 @@ def test_prf_sem_validation_uses_cap():
     assert not res.answer
 
 
+@pytest.mark.parametrize("sigma", [Semantics.PREFERRED, Semantics.SEMI_STABLE])
+def test_prf_sem_walk_keeps_cap_gate(sigma):
+    # on an odd cycle only the empty set is admissible, so a repair walk
+    # finds no candidate to run a maximality check on; it must still refuse
+    # a framework over the cap
+    names = tuple(f"x{i}" for i in range(21))
+    cycle = ArgumentationFramework(
+        names, [(names[i], names[(i + 1) % 21]) for i in range(21)]
+    )
+    with pytest.raises(CapExceeded):
+        solve_repair(cycle, cycle.set_of(["x0"]), sigma, 1)
+    with pytest.raises(CapExceeded):
+        solve_adjust(cycle, cycle.empty_set(), "x0", sigma, 2)
+    with pytest.raises(CapExceeded):
+        solve_center(cycle, cycle.empty_set(), cycle.empty_set(), sigma)
+    assert not solve_repair(cycle, cycle.set_of(["x0"]), sigma, 1, cap=25).answer
+
+
+@pytest.mark.parametrize("sigma", [Semantics.PREFERRED, Semantics.SEMI_STABLE])
+def test_prf_sem_witness_is_least_maximal_set_of_its_layer(sigma):
+    # a <-> d beside the unattacked b and c, repaired from {a, d}.  The first
+    # layer with a witness, distance 3, walks {b,c,d}, {a,b,c}, {b}, {c}: all
+    # admissible, and only the two larger ones maximal.  The witness is the
+    # least of those two, not the least admissible set nor the first found.
+    af = ArgumentationFramework(tuple("abcd"), [("a", "d"), ("d", "a")])
+    res = solve_repair(af, af.set_of(["a", "d"]), sigma, 3)
+    assert res.answer and res.witness.names == ("a", "b", "c")
+    assert not solve_repair(af, af.set_of(["a", "d"]), sigma, 2).answer
+
+
 def test_solve_instance_dispatch(f1):
     inst = small_instance(f1, Semantics.STABLE, 1)
     assert solve_instance(inst).answer
