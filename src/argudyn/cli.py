@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bench import SUITES, run_bench
@@ -41,14 +40,6 @@ from .solvers import ENGINES, SolveResult, sigma_member_mask, solve_instance
 
 _SEMANTICS_CHOICES = tuple(s.value for s in Semantics)
 _GEN_KINDS = ("mcq", "adjust", "center", "cnf-small", "cnf-adjust", "cnf-center")
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    output_format: str
-    strict: bool
-    enum_cap: int | None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,12 +138,12 @@ def _set_of(af: ArgumentationFramework, text: str) -> ArgumentSet:
     return af.set_of(_split_names(text))
 
 
-def _decision_exit(answer: bool, config: CliConfig) -> int:
-    return 0 if answer or not config.strict else 1
+def _decision_exit(answer: bool, args: argparse.Namespace) -> int:
+    return 0 if answer or not args.strict else 1
 
 
-def _print_decision(result: SolveResult, config: CliConfig) -> None:
-    if config.output_format == "json":
+def _print_decision(result: SolveResult, args: argparse.Namespace) -> None:
+    if args.format == "json":
         payload = {
             "answer": result.answer,
             "witness": (
@@ -176,24 +167,24 @@ def _require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _cmd_check(args: argparse.Namespace, config: CliConfig) -> int:
+def _cmd_check(args: argparse.Namespace) -> int:
     af = load_framework(args.af)
     sigma = Semantics.parse(args.semantics)
     member = bool(
-        sigma_member_mask(af, _set_of(af, args.set).mask, sigma, config.enum_cap)
+        sigma_member_mask(af, _set_of(af, args.set).mask, sigma, args.enum_cap)
     )
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps({"answer": member}))
     else:
         print("YES" if member else "NO")
-    return _decision_exit(member, config)
+    return _decision_exit(member, args)
 
 
-def _cmd_enumerate(args: argparse.Namespace, config: CliConfig) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> int:
     af = load_framework(args.af)
     sigma = Semantics.parse(args.semantics)
-    extensions = enumerate_extensions(af, sigma, cap=config.enum_cap)
-    if config.output_format == "json":
+    extensions = enumerate_extensions(af, sigma, cap=args.enum_cap)
+    if args.format == "json":
         payload = {
             "semantics": sigma.value,
             "extensions": [list(e.names) for e in extensions],
@@ -227,16 +218,16 @@ def _solve_instance_from_args(args: argparse.Namespace) -> ProblemInstance:
     return center_instance(af, _set_of(af, args.e1), _set_of(af, args.e2), sigma)
 
 
-def _cmd_solve(args: argparse.Namespace, config: CliConfig) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _solve_instance_from_args(args)
     result = solve_instance(
         instance,
         engine=args.engine,
-        cap=config.enum_cap,
+        cap=args.enum_cap,
         require_nonempty=args.require_nonempty,
     )
-    _print_decision(result, config)
-    return _decision_exit(result.answer, config)
+    _print_decision(result, args)
+    return _decision_exit(result.answer, args)
 
 
 def _instance_summary(instance: ProblemInstance) -> dict:
@@ -283,7 +274,7 @@ def _generate(args: argparse.Namespace) -> GadgetOutput:
     return generator(formula, sigma)
 
 
-def _cmd_gen(args: argparse.Namespace, config: CliConfig) -> int:
+def _cmd_gen(args: argparse.Namespace) -> int:
     output = _generate(args)
     af = output.instance.framework
     sidecar = {
@@ -299,7 +290,7 @@ def _cmd_gen(args: argparse.Namespace, config: CliConfig) -> int:
     except OSError as exc:
         raise IoError(f"cannot write {args.out}: {exc}") from exc
     summary = _instance_summary(output.instance)
-    if config.output_format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -318,9 +309,9 @@ def _cmd_gen(args: argparse.Namespace, config: CliConfig) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
+def _cmd_bench(args: argparse.Namespace) -> int:
     records = run_bench(args.suite, seed=args.seed, out_path=args.out)
-    if config.output_format == "json":
+    if args.format == "json":
         print(json.dumps({"out": str(args.out), "records": len(records)}))
     else:
         print(f"wrote {args.out}: {len(records)} records")
@@ -342,14 +333,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config = CliConfig(
-        command=args.command,
-        output_format=args.format,
-        strict=args.strict,
-        enum_cap=args.enum_cap,
-    )
     try:
-        return _HANDLERS[args.command](args, config)
+        return _HANDLERS[args.command](args)
     except (ArgudynError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

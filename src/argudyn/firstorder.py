@@ -1,10 +1,9 @@
 """First-order formulas over attack structures: AST, builders, evaluator.
 
 Formulas use one binary relation A (attack) plus problem-specific unary
-relations (S, E0, T, E1, E2).  Builders that take a predicate accept either
-a callable str -> Formula or a Formula whose designated free variable is
-"x"; every substitution generates globally fresh bound variables, so
-grafting can never capture.
+relations (S, E0, T, E1, E2).  Builders take a predicate, a callable
+str -> Formula, and bind every variable they add to a globally fresh name,
+so applying a predicate inside them can never capture.
 """
 
 from __future__ import annotations
@@ -111,51 +110,13 @@ def free_variables(f: Formula) -> frozenset[str]:
     return free_variables(f.body) - {f.var}
 
 
-# -- substitution -------------------------------------------------------------
+# -- fresh variables -----------------------------------------------------------
 
 _fresh_counter = itertools.count(1)
 
 
 def fresh_var(hint: str = "v") -> str:
     return f"{hint}{next(_fresh_counter)}"
-
-
-def substitute(f: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Replace free occurrences, renaming bound variables to avoid capture."""
-    if isinstance(f, Eq):
-        return Eq(mapping.get(f.left, f.left), mapping.get(f.right, f.right))
-    if isinstance(f, App1):
-        return App1(f.rel, mapping.get(f.arg, f.arg))
-    if isinstance(f, App2):
-        return App2(f.rel, mapping.get(f.left, f.left), mapping.get(f.right, f.right))
-    if isinstance(f, Not):
-        return Not(substitute(f.body, mapping))
-    if isinstance(f, And):
-        return And(tuple(substitute(i, mapping) for i in f.items))
-    if isinstance(f, Or):
-        return Or(tuple(substitute(i, mapping) for i in f.items))
-    if isinstance(f, Implies):
-        return Implies(substitute(f.left, mapping), substitute(f.right, mapping))
-    # quantifier: drop shadowed entries, rename when the bound name collides
-    inner = {k: v for k, v in mapping.items() if k != f.var}
-    if not inner:
-        body = f.body
-        var = f.var
-    elif f.var in inner.values():
-        var = fresh_var()
-        body = substitute(f.body, {**inner, f.var: var})
-    else:
-        var = f.var
-        body = substitute(f.body, inner)
-    return Exists(var, body) if isinstance(f, Exists) else Forall(var, body)
-
-
-def as_pred(phi: Union[Formula, Pred], designated: str = "x") -> Pred:
-    """Normalize a predicate argument: callables pass through, formulas bind
-    their designated free variable."""
-    if callable(phi) and not isinstance(phi, (Eq, App1, App2, Not, And, Or, Implies, Exists, Forall)):
-        return phi
-    return lambda v: substitute(phi, {designated: v})
 
 
 def unary_pred(rel: str) -> Pred:
@@ -358,16 +319,14 @@ def _set_pred(variables: tuple[str, ...]) -> Pred:
     return lambda v: disj(Eq(v, x) for x in variables)
 
 
-def cf_of(phi: Union[Formula, Pred]) -> Formula:
-    p = as_pred(phi)
+def cf_of(p: Pred) -> Formula:
     x, y = fresh_var(), fresh_var()
     return Forall(
         x, Forall(y, Implies(And((p(x), p(y))), Not(attacks(x, y))))
     )
 
 
-def adm_of(phi: Union[Formula, Pred]) -> Formula:
-    p = as_pred(phi)
+def adm_of(p: Pred) -> Formula:
     x, y, z = fresh_var(), fresh_var(), fresh_var()
     defended = Forall(
         x,
@@ -382,8 +341,7 @@ def adm_of(phi: Union[Formula, Pred]) -> Formula:
     return And((cf_of(p), defended))
 
 
-def com_of(phi: Union[Formula, Pred]) -> Formula:
-    p = as_pred(phi)
+def com_of(p: Pred) -> Formula:
     a, x1, x2, z = fresh_var(), fresh_var(), fresh_var(), fresh_var()
     all_attackers_countered = Forall(
         a, Implies(attacks(a, z), Exists(x1, And((p(x1), attacks(x1, a)))))
@@ -397,18 +355,15 @@ def com_of(phi: Union[Formula, Pred]) -> Formula:
     return And((adm_of(p), closure))
 
 
-def stb_of(phi: Union[Formula, Pred]) -> Formula:
-    p = as_pred(phi)
+def stb_of(p: Pred) -> Formula:
     z, a = fresh_var(), fresh_var()
     covers = Forall(z, Or((p(z), Exists(a, And((p(a), attacks(a, z)))))))
     return And((cf_of(p), covers))
 
 
-def sym_diff_of(
-    phi1: Union[Formula, Pred], phi2: Union[Formula, Pred]
-) -> Formula:
+def sym_diff_of(p1: Pred, p2: Pred) -> Formula:
     """Symmetric difference of two predicates, free variable y."""
-    return _sym_diff_pred(as_pred(phi1), as_pred(phi2))("y")
+    return _sym_diff_pred(p1, p2)("y")
 
 
 def _sym_diff_pred(p1: Pred, p2: Pred) -> Pred:
@@ -417,11 +372,10 @@ def _sym_diff_pred(p1: Pred, p2: Pred) -> Pred:
     )
 
 
-def at_most(phi: Union[Formula, Pred], k: int) -> Formula:
-    """No k+1 pairwise distinct elements all satisfy phi."""
+def at_most(p: Pred, k: int) -> Formula:
+    """No k+1 pairwise distinct elements all satisfy p."""
     if k < 0:
         raise InvalidArity("at_most needs k >= 0")
-    p = as_pred(phi)
     vs = [fresh_var() for _ in range(k + 1)]
     parts = [
         Not(Eq(vs[i], vs[j])) for i in range(k + 1) for j in range(i + 1, k + 1)
@@ -439,10 +393,8 @@ _SIGMA_BUILDERS = {
     Semantics.STABLE: stb_of,
 }
 
-FO_SEMANTICS = tuple(_SIGMA_BUILDERS)
 
-
-def sigma_of(sigma: Semantics) -> Callable[[Union[Formula, Pred]], Formula]:
+def sigma_of(sigma: Semantics) -> Callable[[Pred], Formula]:
     try:
         return _SIGMA_BUILDERS[sigma]
     except KeyError:

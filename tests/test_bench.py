@@ -1,6 +1,7 @@
 import pytest
 
-from argudyn import IoError
+from argudyn import ArgudynError, IoError
+from argudyn import bench
 from argudyn.bench import (
     CSV_COLUMNS,
     SUITES,
@@ -18,8 +19,6 @@ def test_degree_capped_generator_respects_cap():
     for _ in range(20):
         af = degree_capped_framework(rng, rng.randint(5, 40))
         assert max_degree(af) <= 3
-    af = degree_capped_framework(rng, 10, all_self_attacking=True)
-    assert all((n, n) in af.attacks for n in af.arguments)
 
 
 def test_unknown_suite_rejected():
@@ -82,16 +81,24 @@ def test_k_sweep_is_deterministic_and_covers_engines():
             seen_yes = seen_yes or ans
 
 
-def test_gadget_validation_suite_passes():
-    records = run_bench("gadget-validation", seed=4)
-    assert len(records) == 90
-    generators = {r.generator for r in records}
-    assert {"mcq-small", "cnf-small", "cnf-adjust", "cnf-center"} <= generators
-    assert all(r.wall_time_s >= 0 for r in records)
-    assert all(r.engine == "delta" for r in records)
-
-
 def test_suite_names_exported():
-    assert SUITES == (
-        "repair-degree-sweep", "repair-k-sweep", "gadget-validation"
-    )
+    assert SUITES == ("repair-degree-sweep", "repair-k-sweep")
+
+
+@pytest.mark.parametrize("flipped", ["branching", "fo"])
+def test_engine_disagreement_raises(monkeypatch, flipped):
+    real = bench.solve_instance
+
+    def solve(instance, engine="delta"):
+        result = real(instance, engine=engine)
+        if engine == flipped and instance.k == 0:
+            result.answer = not result.answer
+        return result
+
+    monkeypatch.setattr(bench, "solve_instance", solve)
+    with pytest.raises(ArgudynError) as info:
+        run_bench("repair-k-sweep", seed=9)
+    message = str(info.value)
+    first = "ksweep-0-k0" if flipped == "branching" else "ksweep-fo-k0"
+    assert first in message
+    assert "delta=" in message and f"{flipped}=" in message
