@@ -29,9 +29,6 @@ class Semantics(str, Enum):
             ) from None
 
 
-ALL_SEMANTICS = tuple(Semantics)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of mask in increasing order."""
     while mask:
@@ -117,12 +114,6 @@ class ArgumentationFramework:
             return self._index[name]
         except KeyError:
             raise ValueError(f"unknown argument {name!r}") from None
-
-    def attackers_mask(self, i: int) -> int:
-        return self._attackers[i]
-
-    def targets_mask(self, i: int) -> int:
-        return self._targets[i]
 
     def sorted_attacks(self) -> list[tuple[str, str]]:
         """Attacks ordered by (source index, target index)."""

@@ -127,64 +127,24 @@ def unary_pred(rel: str) -> Pred:
 
 
 class Structure:
-    """A finite relational structure: universe, binary A, named unary sets."""
+    """A framework as a finite relational structure: its arguments are the
+    universe and its attacks the binary A; named unary sets are kept as
+    masks.  The universe, index and rows are the framework's own tables."""
 
-    __slots__ = ("universe", "binary", "unary", "_index", "_rows", "_unary_masks")
+    __slots__ = ("universe", "_index", "_rows", "_unary_masks")
 
-    def __init__(
-        self,
-        universe: Iterable[str],
-        binary: Iterable[tuple[str, str]],
-        unary: Mapping[str, Iterable[str]] | None = None,
-    ):
-        self.universe = tuple(universe)
-        self._index = {name: i for i, name in enumerate(self.universe)}
-        if len(self._index) != len(self.universe):
-            raise ValueError("duplicate element in universe")
-        rows = [0] * len(self.universe)
-        pairs = []
-        for a, b in binary:
-            ia, ib = self._index[a], self._index[b]
-            rows[ia] |= 1 << ib
-            pairs.append((a, b))
-        self.binary = frozenset(pairs)
-        self._rows = rows
-        masks: dict[str, int] = {}
-        names: dict[str, frozenset[str]] = {}
-        for rel, members in (unary or {}).items():
-            members = tuple(members)
-            mask = 0
-            for m in members:
-                mask |= 1 << self._index[m]
-            masks[rel] = mask
-            names[rel] = frozenset(members)
-        self.unary = names
-        self._unary_masks = masks
-
-    def __repr__(self) -> str:
-        return (
-            f"Structure({len(self.universe)} elements, {len(self.binary)} pairs, "
-            f"unary={sorted(self.unary)})"
-        )
+    def __init__(self, af: ArgumentationFramework, unary: Mapping[str, int]):
+        self.universe = af.arguments
+        self._index = af._index
+        self._rows = af._targets
+        self._unary_masks = unary
 
 
 def structure_of(
     af: ArgumentationFramework, **unary: ArgumentSet | Iterable[str]
 ) -> Structure:
     """Structure with universe X and binary A, plus named unary relations."""
-    return Structure(af.arguments, af.attacks, {k: tuple(v) for k, v in unary.items()})
-
-
-def gaifman_max_degree(st: Structure) -> int:
-    """Max number of distinct other elements sharing a binary tuple."""
-    n = len(st.universe)
-    neigh = [0] * n
-    for a, b in st.binary:
-        ia, ib = st._index[a], st._index[b]
-        if ia != ib:
-            neigh[ia] |= 1 << ib
-            neigh[ib] |= 1 << ia
-    return max((m.bit_count() for m in neigh), default=0)
+    return Structure(af, {rel: af.mask_of(members) for rel, members in unary.items()})
 
 
 # -- evaluator ----------------------------------------------------------------

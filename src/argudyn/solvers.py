@@ -317,6 +317,55 @@ def solve_center(
 # -- branching route for Repair ------------------------------------------------
 
 
+def _moves(
+    af: ArgumentationFramework, sigma: Semantics, e: int, attacked: int
+) -> list[tuple[int, bool]] | None:
+    """The first defect of e, given the arguments it attacks, as its ordered
+    repair moves (bit, adds): add the argument of bit to e, or drop it.
+    None when e has no defect.
+
+    The defects, checked in order: an attack inside e, an undefended member,
+    an uncovered outsider (stb), a defended outsider (com), emptiness.
+    """
+    attackers = af._attackers
+    clash = attacked & e
+    if clash:
+        # the first attack inside e in (source, target) order: the lowest
+        # member attacking a member, then the lowest member it attacks
+        sources = 0
+        for j in iter_bits(clash):
+            sources |= attackers[j]
+        sources &= e
+        i = sources & -sources
+        hit = af._targets[i.bit_length() - 1] & e
+        j = hit & -hit
+        return [(i, False)] if i == j else [(i, False), (j, False)]
+    for i in iter_bits(e):
+        hole = attackers[i] & ~attacked
+        if hole:
+            z = (hole & -hole).bit_length() - 1
+            return [(1 << i, False)] + [(1 << w, True) for w in iter_bits(attackers[z])]
+    # e is conflict-free here, so every outsider it attacks has an attacker
+    # in e that e leaves unattacked: only the rest can be uncovered or defended
+    rest = af.full_mask & ~(e | attacked)
+    if sigma is Semantics.STABLE and rest:
+        z = (rest & -rest).bit_length() - 1
+        return [(1 << w, True) for w in iter_bits(attackers[z] | 1 << z)]
+    if sigma is Semantics.COMPLETE:
+        for z in iter_bits(rest):
+            if not attackers[z] & ~attacked:
+                # take z in, or drop a defender
+                defenders = 0
+                for a in iter_bits(attackers[z]):
+                    defenders |= attackers[a]
+                return [(1 << z, True)] + [
+                    (1 << d, False) for d in iter_bits(defenders & e)
+                ]
+    if not e:
+        return [(1 << z, True) for z in range(af.n)]
+    return None
+
+
 def solve_repair_branching(
     af: ArgumentationFramework,
     s: ArgumentSet,
@@ -328,7 +377,9 @@ def solve_repair_branching(
     Every branch commits one argument against its current side, costing one
     unit of the distance budget, so the tree depth is at most k and the
     width is bounded by the attack degrees (plus one linear emptiness
-    branch when the candidate goes empty).
+    branch when the candidate goes empty).  A node (cin, cout, budget)
+    names the set S + cin - cout; the open nodes sit on an explicit stack,
+    children pushed in reverse so that they are visited in move order.
     """
     if sigma not in (Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.STABLE):
         raise UnsupportedSemantics(
@@ -340,103 +391,26 @@ def solve_repair_branching(
         raise ValueError("start set does not belong to the framework")
     start = time.perf_counter()
     stats = SolveStats()
-    base = s.mask
-    full = af.full_mask
-    attackers = af._attackers
     targets = af._targets
-    pairs = [
-        (af.index_of(a), af.index_of(b)) for a, b in af.sorted_attacks()
-    ]
-
-    def search(cin: int, cout: int, budget: int) -> int | None:
+    stack = [(0, 0, k)]
+    while stack:
+        cin, cout, budget = stack.pop()
         stats.nodes += 1
-        e = cin | (base & ~cout)
-
-        # 1: internal conflict
-        for i, j in pairs:
-            if e >> i & 1 and e >> j & 1:
-                for x in ((i,) if i == j else (i, j)):
-                    if cin >> x & 1 or budget == 0:
-                        continue
-                    r = search(cin, cout | 1 << x, budget - 1)
-                    if r is not None:
-                        return r
-                return None
-
-        # 2: undefended member
-        attacked = attacked_mask(af, e)
-        for i in iter_bits(e):
-            hole = attackers[i] & ~attacked
-            if not hole:
-                continue
-            z = (hole & -hole).bit_length() - 1
-            if budget > 0:
-                if not cin >> i & 1:
-                    r = search(cin, cout | 1 << i, budget - 1)
-                    if r is not None:
-                        return r
-                for wbit in iter_bits(attackers[z]):
-                    b = 1 << wbit
-                    if cout & b or targets[wbit] & b:
-                        continue
-                    r = search(cin | b, cout, budget - 1)
-                    if r is not None:
-                        return r
-            return None
-
-        # 3: semantics-specific outsiders
-        if sigma is Semantics.STABLE:
-            uncovered = full & ~(e | attacked)
-            if uncovered:
-                z = (uncovered & -uncovered).bit_length() - 1
-                if budget > 0:
-                    for wbit in iter_bits(attackers[z] | 1 << z):
-                        b = 1 << wbit
-                        if cout & b or targets[wbit] & b or e & b:
-                            continue
-                        r = search(cin | b, cout, budget - 1)
-                        if r is not None:
-                            return r
-                return None
-        elif sigma is Semantics.COMPLETE:
-            for z in iter_bits(full & ~e):
-                if attackers[z] & ~attacked:
-                    continue
-                # z is a defended outsider: take it in, or drop a defender
-                if budget > 0:
-                    zb = 1 << z
-                    if not (cout & zb or targets[z] & zb):
-                        r = search(cin | zb, cout, budget - 1)
-                        if r is not None:
-                            return r
-                    defenders = 0
-                    for a in iter_bits(attackers[z]):
-                        defenders |= e & attackers[a]
-                    for d in iter_bits(defenders & ~cin):
-                        r = search(cin, cout | 1 << d, budget - 1)
-                        if r is not None:
-                            return r
-                return None
-
-        # 4: nonemptiness
-        if e == 0:
-            if budget > 0:
-                for z in range(af.n):
-                    b = 1 << z
-                    if cout & b or targets[z] & b:
-                        continue
-                    r = search(b | cin, cout, budget - 1)
-                    if r is not None:
-                        return r
-            return None
-
-        return e if sigma_member_mask(af, e, sigma) else None
-
-    witness = search(0, 0, k)
-    # search refers to itself through its closure; breaking that cycle frees
-    # the pair list now rather than at the next cyclic garbage collection
-    del search
-    return _result(af, witness, stats, start)
+        e = cin | (s.mask & ~cout)
+        moves = _moves(af, sigma, e, attacked_mask(af, e))
+        if moves is None:
+            if sigma_member_mask(af, e, sigma):
+                return _result(af, e, stats, start)
+        elif budget:
+            for bit, adds in reversed(moves):
+                # an argument is committed once, and one attacking itself
+                # never enters
+                if adds:
+                    if not (cout & bit or targets[bit.bit_length() - 1] & bit):
+                        stack.append((cin | bit, cout, budget - 1))
+                elif not cin & bit:
+                    stack.append((cin, cout | bit, budget - 1))
+    return _result(af, None, stats, start)
 
 
 # -- first-order route ----------------------------------------------------------

@@ -101,3 +101,16 @@ def test_branching_witness_satisfies_semantics():
         res = solve_repair_branching(af, s, sigma, rng.randint(0, 4))
         if res.answer:
             assert checker[sigma](af, res.witness)
+
+
+def test_branching_depth_is_not_bounded_by_the_recursion_limit():
+    # every pair x_i<->y_i clashes, so each of the k levels drops one x_i
+    pairs = 1050
+    names = [f"{side}{i}" for i in range(pairs) for side in "xy"]
+    attacks = [(f"x{i}", f"y{i}") for i in range(pairs)]
+    attacks += [(b, a) for a, b in attacks]
+    af = ArgumentationFramework(names, attacks)
+    res = solve_repair_branching(af, af.full_set(), Semantics.ADMISSIBLE, pairs)
+    assert res.answer
+    assert res.witness.names == tuple(f"y{i}" for i in range(pairs))
+    assert res.stats.nodes == pairs + 1

@@ -27,7 +27,6 @@ from argudyn.firstorder import (
     com_of,
     corrected_repair_formula,
     evaluate,
-    gaifman_max_degree,
     repair_formula,
     set_formula,
     sigma_of,
@@ -37,7 +36,6 @@ from argudyn.firstorder import (
     sym_diff_of,
     unary_pred,
 )
-from argudyn import max_degree
 from conftest import random_framework
 from oracles import (
     oracle_admissible,
@@ -191,10 +189,3 @@ def test_center_formula_strict_betweenness(f4):
     st2 = structure_of(pair, E1=pair.set_of(["a"]), E2=pair.set_of(["b"]))
     assert not evaluate(st2, center_formula(Semantics.STABLE, 2))
 
-
-def test_gaifman_degree_matches_framework_degree():
-    rng = random.Random(271)
-    for _ in range(25):
-        af = random_framework(rng, rng.randint(1, 7))
-        st = structure_of(af)
-        assert gaifman_max_degree(st) == max_degree(af)

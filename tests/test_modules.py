@@ -47,3 +47,22 @@ def test_no_module_imports_a_name_it_never_uses():
             if name not in used
         ]
     assert unused == []
+
+
+def test_search_modules_do_not_recurse():
+    # the search depth follows the framework size in these modules, so a
+    # recursive call could exceed the interpreter's recursion limit
+    recursive = []
+    for name in ("core.py", "enumeration.py", "solvers.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            recursive += [
+                f"{name}: {fn.name}"
+                for call in ast.walk(fn)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id == fn.name
+            ]
+    assert recursive == []
