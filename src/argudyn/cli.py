@@ -277,10 +277,11 @@ def _generate(args: argparse.Namespace) -> GadgetOutput:
 def _cmd_gen(args: argparse.Namespace) -> int:
     output = _generate(args)
     af = output.instance.framework
+    summary = _instance_summary(output.instance)
     sidecar = {
         "provenance": output.provenance,
         "name_map": output.name_map,
-        "instance": _instance_summary(output.instance),
+        "instance": summary,
     }
     try:
         Path(args.out).write_text(write_apx(af), encoding="utf-8")
@@ -289,7 +290,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         raise IoError(f"cannot write {args.out}: {exc}") from exc
-    summary = _instance_summary(output.instance)
     if args.format == "json":
         print(
             json.dumps(

@@ -6,7 +6,8 @@ import re
 from enum import Enum
 from typing import Iterable, Iterator
 
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
+# the whole of an argument name, in every format: apply with fullmatch
+NAME_RE = re.compile(r"[A-Za-z0-9_]+")
 
 
 class Semantics(str, Enum):
@@ -27,6 +28,11 @@ class Semantics(str, Enum):
                 f"unknown semantics {text!r}; expected one of "
                 + ", ".join(s.value for s in cls)
             ) from None
+
+    @property
+    def needs_maximality(self) -> bool:
+        """prf and sem: membership runs the capped maximality search."""
+        return self in (Semantics.PREFERRED, Semantics.SEMI_STABLE)
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -64,7 +70,7 @@ class ArgumentationFramework:
         args = tuple(arguments)
         index: dict[str, int] = {}
         for name in args:
-            if not isinstance(name, str) or not _NAME_RE.match(name):
+            if not isinstance(name, str) or not NAME_RE.fullmatch(name):
                 raise ValueError(f"invalid argument name {name!r}")
             if name in index:
                 raise ValueError(f"duplicate argument {name!r}")

@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import ArgumentationFramework
+from .core import NAME_RE, ArgumentationFramework
 from .errors import (
     DuplicateArgument,
     IoError,
@@ -17,9 +17,9 @@ from .errors import (
 )
 
 _FACT_RE = re.compile(
-    r"\s*(arg|att)\s*\(\s*([A-Za-z0-9_]+)\s*(?:,\s*([A-Za-z0-9_]+)\s*)?\)\s*\."
+    rf"\s*(arg|att)\s*\(\s*({NAME_RE.pattern})\s*"
+    rf"(?:,\s*({NAME_RE.pattern})\s*)?\)\s*\."
 )
-_NAME_RE = re.compile(r"^[A-Za-z0-9_]+$")
 
 
 def parse_apx(text: str) -> ArgumentationFramework:
@@ -98,7 +98,7 @@ def parse_tgf(text: str) -> ArgumentationFramework:
         tokens = line.split()
         if not seen_separator:
             name = tokens[0]
-            if not _NAME_RE.match(name):
+            if not NAME_RE.fullmatch(name):
                 raise ParseError(f"invalid node name {name!r}", lineno)
             if name in declared:
                 raise DuplicateArgument(f"node {name!r} declared twice", lineno)

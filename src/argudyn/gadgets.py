@@ -1,6 +1,6 @@
 """Instance generators that translate combinatorial questions into the
-four dynamic-extension problems, plus the brute-force oracles used to
-cross-check them end to end.
+four dynamic-extension problems.  The brute-force references they are
+checked against live in the test suite (tests/oracles.py).
 
 Two source objects are supported: vertex-partitioned graphs (clique
 questions become small-extension questions) and bounded-occurrence CNF
@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .core import ArgumentationFramework, Semantics, distance, max_degree
-from .errors import ArgudynError, CapExceeded, OddK, UnsupportedSemantics
+from .errors import ArgudynError, OddK, UnsupportedSemantics
 from .formats import ThreeCnfTwoFormula
 from .instances import (
     ProblemInstance,
@@ -25,12 +25,6 @@ from .instances import (
     center_instance,
     small_instance,
 )
-
-SAT_ORACLE_CAP = 20
-CLIQUE_ORACLE_CAP = 1_000_000
-
-_MAXIMALITY = (Semantics.PREFERRED, Semantics.SEMI_STABLE)
-
 
 @dataclass(frozen=True)
 class KPartiteGraph:
@@ -102,16 +96,27 @@ class GadgetOutput:
 
 def _output(
     instance: ProblemInstance,
-    provenance: dict[str, object],
-    name_map: dict[str, str],
+    generator: str,
+    source_text: str,
+    parameters: dict[str, int],
+    name_map: dict[str, str] | None = None,
+    **extras: object,
 ) -> GadgetOutput:
+    """Bundle instance with its provenance: generator id, digest of the
+    source object's text, parameters, then extras.  A missing name_map
+    maps every argument to itself."""
+    if name_map is None:
+        name_map = {name: name for name in instance.framework.arguments}
     for name in name_map.values():
         instance.framework.index_of(name)
+    digest = hashlib.sha256(source_text.encode("utf-8")).hexdigest()[:16]
+    provenance = {
+        "generator": generator,
+        "source_digest": digest,
+        "parameters": parameters,
+        **extras,
+    }
     return GadgetOutput(instance, provenance, name_map)
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _af_text(af: ArgumentationFramework) -> str:
@@ -158,23 +163,6 @@ def even_k_duplicate(g: KPartiteGraph) -> KPartiteGraph:
     return KPartiteGraph(parts, frozenset(edges))
 
 
-def has_multicolored_clique(
-    g: KPartiteGraph, cap: int = CLIQUE_ORACLE_CAP
-) -> bool:
-    """Brute-force check for a clique with one vertex from every part."""
-    space = 1
-    for part in g.parts:
-        space *= len(part)
-        if space > cap:
-            raise CapExceeded(space, cap)
-    if space == 0:
-        return False
-    for combo in itertools.product(*g.parts):
-        if all(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
-            return True
-    return False
-
-
 def gen_mcq_small(
     g: KPartiteGraph, sigma: Semantics | str = Semantics.ADMISSIBLE
 ) -> GadgetOutput:
@@ -198,44 +186,31 @@ def gen_mcq_small(
     k = g.k
     part_of = {v: i for i, part in enumerate(g.parts, start=1) for v in part}
     y = {v: f"y_{v}" for v in g.vertices}
-    z: dict[tuple[str, int], str] = {}
     args = [y[v] for v in g.vertices]
-    for i, part in enumerate(g.parts, start=1):
-        for v in part:
-            for j in range(1, k + 1):
-                if j != i:
-                    z[(v, j)] = f"z_{v}_{j}"
-                    args.append(z[(v, j)])
     attacks: list[tuple[str, str]] = []
     for i, part in enumerate(g.parts, start=1):
         for v in part:
-            for u in part:
-                if u != v:
-                    attacks.append((y[v], y[u]))
+            others = [u for u in part if u != v]
+            attacks += [(y[v], y[u]) for u in others]
             for j in range(1, k + 1):
                 if j == i:
                     continue
-                attacks.append((z[(v, j)], z[(v, j)]))
-                attacks.append((z[(v, j)], y[v]))
-                for u in part:
-                    if u != v:
-                        attacks.append((y[v], z[(u, j)]))
+                z = f"z_{v}_{j}"
+                args.append(z)
+                attacks += [(z, z), (z, y[v])]
+                attacks += [(y[v], f"z_{u}_{j}") for u in others]
     for edge in g.edges:
         u, v = tuple(edge)
-        attacks.append((y[u], z[(v, part_of[u])]))
-        attacks.append((y[v], z[(u, part_of[v])]))
+        attacks.append((y[u], f"z_{v}_{part_of[u]}"))
+        attacks.append((y[v], f"z_{u}_{part_of[v]}"))
     af = ArgumentationFramework(args, attacks)
-    provenance = {
-        "generator": "mcq-small",
-        "source_digest": _digest(g.canonical_text()),
-        "parameters": {
-            "k": k,
-            "n_vertices": len(g.vertices),
-            "n_edges": len(g.edges),
-        },
+    parameters = {
+        "k": k,
+        "n_vertices": len(g.vertices),
+        "n_edges": len(g.edges),
     }
     return _output(
-        small_instance(af, sigma, k), provenance, {name: name for name in args}
+        small_instance(af, sigma, k), "mcq-small", g.canonical_text(), parameters
     )
 
 
@@ -267,12 +242,10 @@ def gen_adjust_from_small(
         attacks.append((x, t))
     af2 = ArgumentationFramework(af.arguments + (t,), attacks)
     instance = adjust_instance(af2, af2.set_of([t]), t, sigma, k + 1)
-    provenance = {
-        "generator": "adjust-from-small",
-        "source_digest": _digest(_af_text(af)),
-        "parameters": {"k": k, "adjust_k": k + 1, "n_arguments": af.n},
-    }
-    return _output(instance, provenance, {"t": t})
+    parameters = {"k": k, "adjust_k": k + 1, "n_arguments": af.n}
+    return _output(
+        instance, "adjust-from-small", _af_text(af), parameters, {"t": t}
+    )
 
 
 def gen_center_from_small(
@@ -300,12 +273,13 @@ def gen_center_from_small(
             f"k must be even, got {k}; double the source question first"
         )
     taken = set(af.arguments)
-    t = _fresh(taken, "t")
-    tp = _fresh(taken, "tp")
-    w = [_fresh(taken, f"w_{i}") for i in range(1, k + 1)]
-    wp = [_fresh(taken, f"wp_{i}") for i in range(1, k + 1)]
-    z = [_fresh(taken, f"z_{i}") for i in range(1, k + 1)]
-    zp = [_fresh(taken, f"zp_{i}") for i in range(1, k + 1)]
+    rows = ("w", "wp", "z", "zp")
+    roles = ["t", "tp"] + [f"{row}_{i}" for i in range(1, k + 1) for row in rows]
+    name_map = {role: _fresh(taken, role) for role in roles}
+    t, tp = name_map["t"], name_map["tp"]
+    w, wp, z, zp = (
+        [name_map[f"{row}_{i}"] for i in range(1, k + 1)] for row in rows
+    )
     attacks = list(af.sorted_attacks())
     attacks += [(t, tp), (tp, t)]
     for x in af.arguments:
@@ -325,20 +299,14 @@ def gen_center_from_small(
     e2 = af2.set_of([tp, *w])
     if distance(e1, e2) != 2 * k + 2:
         raise ArgudynError("endpoint distance drifted from 2k+2")
-    instance = center_instance(af2, e1, e2, sigma)
-    provenance = {
-        "generator": "center-from-small",
-        "source_digest": _digest(_af_text(af)),
-        "parameters": {"k": k, "threshold": 2 * k + 1, "n_arguments": af.n},
-        "forward_witness_scaffold": w[: k // 2] + wp[k // 2 :],
-    }
-    name_map = {"t": t, "tp": tp}
-    for i in range(k):
-        name_map[f"w_{i + 1}"] = w[i]
-        name_map[f"wp_{i + 1}"] = wp[i]
-        name_map[f"z_{i + 1}"] = z[i]
-        name_map[f"zp_{i + 1}"] = zp[i]
-    return _output(instance, provenance, name_map)
+    return _output(
+        center_instance(af2, e1, e2, sigma),
+        "center-from-small",
+        _af_text(af),
+        {"k": k, "threshold": 2 * k + 1, "n_arguments": af.n},
+        name_map,
+        forward_witness_scaffold=w[: k // 2] + wp[k // 2 :],
+    )
 
 
 # -- formula side ------------------------------------------------------------
@@ -371,62 +339,42 @@ def _bracket_tree(
     return root, leaf_ids, edges, next(counter)
 
 
-def _attach_funnel_tree(
+def _attach_tree(
     args: list[str],
     attacks: list[tuple[str, str]],
     leaf_count: int,
     hub: str,
     prefix: str,
+    inward: bool,
 ) -> list[str]:
-    """Attach a tree that funnels attacks into hub: every tree edge is
-    subdivided, attacks run from the leaves toward the hub, and only the
-    subdividing nodes self-attack.  Returns leaf names in order (the hub
-    itself when leaf_count is 1)."""
+    """Attach a tree rooted at hub with every tree edge subdivided.
+
+    Inward, attacks run from the leaves toward the hub and only the
+    subdividing nodes self-attack, so the tree funnels attacks into hub.
+    Outward, attacks run from the hub toward the leaves and only the nodes
+    of the unsubdivided tree self-attack, so the tree fans attacks out of
+    hub.  Returns leaf names in order (the hub itself when leaf_count is 1).
+    """
     root, leaf_ids, edges, count = _bracket_tree(leaf_count)
-    name = {
-        node: (hub if node == root else f"{prefix}_n{node}")
-        for node in range(count)
-    }
+    name = [hub if node == root else f"{prefix}_n{node}" for node in range(count)]
     for node in range(count):
         if node != root:
             args.append(name[node])
+        if not inward:
+            attacks.append((name[node], name[node]))
     for idx, (parent, child) in enumerate(edges):
         s = f"{prefix}_s{idx}"
         args.append(s)
-        attacks += [(name[child], s), (s, name[parent]), (s, s)]
-    return [name[leaf] for leaf in leaf_ids]
-
-
-def _attach_fanout_tree(
-    args: list[str],
-    attacks: list[tuple[str, str]],
-    leaf_count: int,
-    hub: str,
-    prefix: str,
-) -> list[str]:
-    """Attach a tree that fans attacks out of hub: every tree edge is
-    subdivided, attacks run from the hub toward the leaves, and every
-    node of the unsubdivided tree self-attacks (the subdividing nodes do
-    not).  Returns leaf names in order."""
-    root, leaf_ids, edges, count = _bracket_tree(leaf_count)
-    name = {
-        node: (hub if node == root else f"{prefix}_n{node}")
-        for node in range(count)
-    }
-    for node in range(count):
-        if node != root:
-            args.append(name[node])
-        attacks.append((name[node], name[node]))
-    for idx, (parent, child) in enumerate(edges):
-        s = f"{prefix}_s{idx}"
-        args.append(s)
-        attacks += [(name[parent], s), (s, name[child])]
+        if inward:
+            attacks += [(name[child], s), (s, name[parent]), (s, s)]
+        else:
+            attacks += [(name[parent], s), (s, name[child])]
     return [name[leaf] for leaf in leaf_ids]
 
 
 def _cnf_base(
     formula: ThreeCnfTwoFormula, include_e: bool
-) -> tuple[list[str], list[tuple[str, str]], dict[str, str]]:
+) -> tuple[list[str], list[tuple[str, str]]]:
     """Shared frame for the three formula generators: hub phi gathers the
     clause attacks through a funnel tree, hub nphi spreads its attacks on
     the literal arguments through a fan-out tree, and every argument ends
@@ -449,25 +397,42 @@ def _cnf_base(
             attacks.append((side, cs[j]))
     for i in range(n):
         attacks += [(xs[i], nxs[i]), (nxs[i], xs[i])]
-    clause_leaves = _attach_funnel_tree(args, attacks, m, "phi", "bphi")
+    clause_leaves = _attach_tree(args, attacks, m, "phi", "bphi", inward=True)
     for j in range(m):
         attacks.append((cs[j], clause_leaves[j]))
-    lit_leaves = _attach_fanout_tree(args, attacks, 2 * n, "nphi", "bnphi")
+    lit_leaves = _attach_tree(
+        args, attacks, 2 * n, "nphi", "bnphi", inward=False
+    )
     for i in range(n):
         attacks.append((lit_leaves[i], xs[i]))
         attacks.append((lit_leaves[n + i], nxs[i]))
     if include_e:
         args.append("e")
-    return args, attacks, {name: name for name in args}
+    return args, attacks
 
 
 def _maximality_only(sigma: Semantics | str) -> Semantics:
     sigma = Semantics.parse(sigma)
-    if sigma not in _MAXIMALITY:
+    if not sigma.needs_maximality:
         raise UnsupportedSemantics(
             "this construction needs a maximality semantics (prf or sem)"
         )
     return sigma
+
+
+def _cnf_output(
+    instance: ProblemInstance,
+    generator: str,
+    formula: ThreeCnfTwoFormula,
+    **parameters: int,
+) -> GadgetOutput:
+    return _output(
+        instance,
+        generator,
+        formula.canonical_text(),
+        {"n": formula.n, "m": formula.m, **parameters},
+        max_degree=max_degree(instance.framework),
+    )
 
 
 def gen_cnf_small(
@@ -481,15 +446,8 @@ def gen_cnf_small(
     happens exactly when the formula is unsatisfiable.
     """
     sigma = _maximality_only(sigma)
-    args, attacks, name_map = _cnf_base(formula, include_e=True)
-    af = ArgumentationFramework(args, attacks)
-    provenance = {
-        "generator": "cnf-small",
-        "source_digest": _digest(formula.canonical_text()),
-        "parameters": {"n": formula.n, "m": formula.m, "k": 1},
-        "max_degree": max_degree(af),
-    }
-    return _output(small_instance(af, sigma, 1), provenance, name_map)
+    af = ArgumentationFramework(*_cnf_base(formula, include_e=True))
+    return _cnf_output(small_instance(af, sigma, 1), "cnf-small", formula, k=1)
 
 
 def gen_cnf_adjust(
@@ -504,7 +462,7 @@ def gen_cnf_adjust(
     possible exactly when the formula is unsatisfiable.
     """
     sigma = _maximality_only(sigma)
-    args, attacks, name_map = _cnf_base(formula, include_e=False)
+    args, attacks = _cnf_base(formula, include_e=False)
     args += ["t1", "t1p", "t2", "t2p"]
     attacks += [
         ("t1", "phi"),
@@ -518,15 +476,7 @@ def gen_cnf_adjust(
     ]
     af = ArgumentationFramework(args, attacks)
     instance = adjust_instance(af, af.set_of(["t1"]), "t1", sigma, 2)
-    for extra in ("t1", "t1p", "t2", "t2p"):
-        name_map[extra] = extra
-    provenance = {
-        "generator": "cnf-adjust",
-        "source_digest": _digest(formula.canonical_text()),
-        "parameters": {"n": formula.n, "m": formula.m, "k": 2},
-        "max_degree": max_degree(af),
-    }
-    return _output(instance, provenance, name_map)
+    return _cnf_output(instance, "cnf-adjust", formula, k=2)
 
 
 def gen_cnf_center(
@@ -542,8 +492,8 @@ def gen_cnf_center(
     exists exactly when the formula is unsatisfiable.
     """
     sigma = _maximality_only(sigma)
-    args, attacks, name_map = _cnf_base(formula, include_e=False)
-    extras = [
+    args, attacks = _cnf_base(formula, include_e=False)
+    args += [
         "t",
         "tp",
         "w1",
@@ -557,7 +507,6 @@ def gen_cnf_center(
         "z2",
         "z2p",
     ]
-    args += extras
     attacks += [
         ("t", "z"),
         ("z", "z"),
@@ -592,34 +541,7 @@ def gen_cnf_center(
     if distance(e1, e2) != 6:
         raise ArgudynError("endpoint distance drifted from 6")
     instance = center_instance(af, e1, e2, sigma)
-    for extra in extras:
-        name_map[extra] = extra
-    provenance = {
-        "generator": "cnf-center",
-        "source_digest": _digest(formula.canonical_text()),
-        "parameters": {"n": formula.n, "m": formula.m, "threshold": 5},
-        "max_degree": max_degree(af),
-    }
-    return _output(instance, provenance, name_map)
-
-
-def sat_oracle(formula: ThreeCnfTwoFormula, cap: int = SAT_ORACLE_CAP) -> bool:
-    """Exhaustive satisfiability check, the ground truth for the formula
-    generators' yes/no cross-checks.  Capped at cap variables."""
-    if formula.n > cap:
-        raise CapExceeded(formula.n, cap)
-    for bits in range(1 << formula.n):
-        sat = True
-        for clause in formula.clauses:
-            if not any(
-                ((bits >> (abs(lit) - 1)) & 1) == (1 if lit > 0 else 0)
-                for lit in clause
-            ):
-                sat = False
-                break
-        if sat:
-            return True
-    return False
+    return _cnf_output(instance, "cnf-center", formula, threshold=5)
 
 
 # -- seeded source-object generators -----------------------------------------

@@ -94,7 +94,7 @@ def _result(
 
 def _solve_cap(sigma: Semantics, cap: int | None) -> int | None:
     """The cap a prf/sem solve uses, read once; other semantics ignore it."""
-    if sigma in (Semantics.PREFERRED, Semantics.SEMI_STABLE):
+    if sigma.needs_maximality:
         return resolve_cap(cap)
     return cap
 
@@ -201,7 +201,7 @@ def _walk(
     first_wins = not outside and not pools[0][0]
     # Otherwise a prf/sem layer keeps its admissible candidates and runs the
     # costly maximality check last, in canonical order, until one passes.
-    deferred = not first_wins and sigma in (Semantics.PREFERRED, Semantics.SEMI_STABLE)
+    deferred = not first_wins and sigma.needs_maximality
     for d in range(first, min(last, len(inside) + len(outside)) + 1):
         hits: list[int] = []
         low = (d + 2) // 2 if outside else d
@@ -381,7 +381,7 @@ def solve_repair_branching(
     names the set S + cin - cout; the open nodes sit on an explicit stack,
     children pushed in reverse so that they are visited in move order.
     """
-    if sigma not in (Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.STABLE):
+    if sigma.needs_maximality:
         raise UnsupportedSemantics(
             f"branching route supports adm, com, stb; got {sigma.value}"
         )

@@ -59,6 +59,12 @@ def test_framework_rejects_bad_input():
         ArgumentationFramework(("a",), [("z", "a")])
 
 
+def test_framework_rejects_name_ending_in_newline():
+    # such a name would be written into APX/TGF files that no parser reads
+    with pytest.raises(ValueError):
+        ArgumentationFramework(("a\n", "b"), [("a\n", "b")])
+
+
 def test_duplicate_attacks_are_deduplicated():
     af = ArgumentationFramework(("a", "b"), [("a", "b"), ("a", "b")])
     assert len(af.attacks) == 1

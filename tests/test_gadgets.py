@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -6,7 +8,6 @@ import pytest
 from argudyn import (
     ArgudynError,
     ArgumentationFramework,
-    CapExceeded,
     NotThreeCnfTwo,
     OddK,
     Semantics,
@@ -20,12 +21,10 @@ from argudyn import (
     gen_cnf_center,
     gen_cnf_small,
     gen_mcq_small,
-    has_multicolored_clique,
     kpartite,
     max_degree,
     random_kpartite,
     random_three_cnf_two,
-    sat_oracle,
     solve_instance,
     solve_small,
 )
@@ -72,38 +71,6 @@ def test_three_cnf_two_validation():
     assert SAT3.canonical_text() == SAT3.canonical_text()
 
 
-def test_sat_oracle_and_cap():
-    assert not sat_oracle(UNSAT4)
-    assert sat_oracle(SAT3)
-    assert not sat_oracle(cnf(3, [(1,), (-1, 2), (-2, 3), (-3,)]))
-    with pytest.raises(CapExceeded):
-        sat_oracle(UNSAT4, cap=3)
-
-
-def test_sat_oracle_matches_truth_table():
-    rng = random.Random(5)
-    for _ in range(40):
-        n = rng.randint(1, 4)
-        f = random_three_cnf_two(rng, n, rng.randint(1, min(6, 4 * n)))
-        assert sat_oracle(f) == sat_table(f.n, f.clauses)
-
-
-def test_clique_search_matches_brute_force():
-    rng = random.Random(6)
-    for _ in range(40):
-        g = random_kpartite(rng, k=rng.choice((2, 3)), max_part_size=3)
-        assert has_multicolored_clique(g) == brute_multicolored_clique(
-            g.parts, g.edges
-        )
-    wide = kpartite(
-        [["a1", "a2"], ["b1", "b2"], ["c1", "c2"]],
-        [("a1", "b1"), ("b1", "c1"), ("a1", "c1")],
-    )
-    with pytest.raises(CapExceeded):
-        has_multicolored_clique(wide, cap=4)
-    assert has_multicolored_clique(wide, cap=8)
-
-
 def test_mcq_gadget_structure():
     out = gen_mcq_small(TRI)
     af = out.instance.framework
@@ -131,12 +98,13 @@ def test_even_k_duplicate_doubles_and_preserves_cliques():
     doubled = even_k_duplicate(TRI)
     assert doubled.k == 6
     assert len(doubled.edges) == 15
-    assert has_multicolored_clique(doubled)
+    assert brute_multicolored_clique(doubled.parts, doubled.edges)
     rng = random.Random(8)
     for _ in range(25):
         g = random_kpartite(rng, k=rng.choice((2, 3)), max_part_size=2)
-        assert has_multicolored_clique(g) == has_multicolored_clique(
-            even_k_duplicate(g)
+        doubled = even_k_duplicate(g)
+        assert brute_multicolored_clique(g.parts, g.edges) == (
+            brute_multicolored_clique(doubled.parts, doubled.edges)
         )
 
 
@@ -344,7 +312,7 @@ def test_cnf_generators_decide_unsatisfiability():
     rng = random.Random(2718)
     for _ in range(12):
         formula = random_three_cnf_two(rng, rng.randint(1, 3), rng.randint(1, 4))
-        unsat = not sat_oracle(formula)
+        unsat = not sat_table(formula.n, formula.clauses)
         for gen, nonempty in (
             (gen_cnf_small, True),
             (gen_cnf_adjust, False),
@@ -398,9 +366,122 @@ def test_gadget_outputs_expose_valid_name_maps():
         assert "source_digest" in out.provenance
 
 
+COLLIDING_BASE = ArgumentationFramework(
+    ("t", "t_2"), [("t", "t_2"), ("t_2", "t")]
+)
+
+# sha256 of each output's canonical JSON: a generator that changes any
+# argument, attack, instance field, provenance entry or name mapping
+# changes its digest
+PINNED_OUTPUTS = {
+    "mcq TRI adm": (
+        "01caf1ef2909e9437980d02e880f396571e1e89250c38f3f981adac8148e5ca8"
+    ),
+    "mcq TRI stb": (
+        "82c045f569fdf33edde71e8df2e5711aa4c20bf016001fd6277a0ed6714e81e5"
+    ),
+    "mcq TRI_MINUS adm": (
+        "74a6bd565292b98b4c2f56367707414ff6c6991b9c2e00cbdd4eeb1799ffd6f3"
+    ),
+    "mcq TRI_MINUS stb": (
+        "5c89a3189294007bcf6b2e13cc37e633796085fa0028603ba9f79223d9799f8f"
+    ),
+    "gen_cnf_small UNSAT4 prf": (
+        "f2f884e41402006d5702bce3a89158fa06187ce6849bbdc50e3b565099cd434c"
+    ),
+    "gen_cnf_small UNSAT4 sem": (
+        "fbd4b52507af72072412cec4593820e955fae1af1eb93d908055a59a9208c045"
+    ),
+    "gen_cnf_adjust UNSAT4 prf": (
+        "71dd343566c03a0fdbfa184914bc9042cf9e4085caa5a759f14a872c69aed8ad"
+    ),
+    "gen_cnf_adjust UNSAT4 sem": (
+        "c42b086d66a59ae9ff11aa1e2eaba8965ebf4498d81916b908ff0abee3c90c46"
+    ),
+    "gen_cnf_center UNSAT4 prf": (
+        "37aee9255ad9e3714e9215bf64da704e3afad5ed5aaa2362b2c12c761f3d9ff9"
+    ),
+    "gen_cnf_center UNSAT4 sem": (
+        "37d0ac47eff59b683fe3e3e9dd868b8a01883b580aae445491e6d59a15dba74c"
+    ),
+    "gen_cnf_small SAT3 prf": (
+        "5c80bbf8a887c8d001ecaa3eeb02e79fb806116c0a68d63a278a8aafe5ebe5ed"
+    ),
+    "gen_cnf_small SAT3 sem": (
+        "84f992f49fd0d704699c65f969696a9443c9a3bce6f6801f68867698e7c7b4d3"
+    ),
+    "gen_cnf_adjust SAT3 prf": (
+        "bb7a6616f5f12dcc47ff7cbf9e679d2f5ea47041290c1e55bb0679e358fda85f"
+    ),
+    "gen_cnf_adjust SAT3 sem": (
+        "64d7a01cc26e3f24344d412f765763d2f38dd8bad04656a0e9e1fc00e738ea97"
+    ),
+    "gen_cnf_center SAT3 prf": (
+        "76527f9b9b9edd4299a786b6a52fa55531506cc3d2e98e8ef788fe0694f7248e"
+    ),
+    "gen_cnf_center SAT3 sem": (
+        "9b06440a799659c1aaaf6c1d97404cb3a7cbee67a427ff313827a7ebfc20c273"
+    ),
+    "adjust f1": (
+        "920cfbc3a3d121aa0c33600eef667816e0efb150c6aac58080796e50d6853ba1"
+    ),
+    "center f1": (
+        "cdaaa7ed05de1eccecc4943d5e65b558c8152c9523e74ac9eb1634e96a06e6c1"
+    ),
+    "adjust colliding": (
+        "610ff063b74de8d56d9eb7bc55fee8b9bd8fe06aa7dc7632050af2f66d5518be"
+    ),
+    "center colliding": (
+        "99bf54baeab4d357c0911d90d76ab0ccd843deed2dac987ded6a456037c0e5bc"
+    ),
+}
+
+
+def _output_digest(out):
+    inst = out.instance
+    sets = {
+        key: list(getattr(inst, key).names)
+        for key in ("s", "e0", "e1", "e2")
+        if getattr(inst, key) is not None
+    }
+    record = {
+        "arguments": list(inst.framework.arguments),
+        "attacks": [list(pair) for pair in inst.framework.sorted_attacks()],
+        "provenance": out.provenance,
+        "name_map": out.name_map,
+        "kind": inst.kind.value,
+        "semantics": inst.semantics.value,
+        "parameter": inst.parameter(),
+        "target": inst.target,
+        "sets": sets,
+    }
+    text = json.dumps(record, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_generator_outputs_are_unchanged(f1):
+    outputs = {}
+    for label, g in (("TRI", TRI), ("TRI_MINUS", TRI_MINUS)):
+        for sigma in (Semantics.ADMISSIBLE, Semantics.STABLE):
+            outputs[f"mcq {label} {sigma.value}"] = gen_mcq_small(g, sigma)
+    for label, formula in (("UNSAT4", UNSAT4), ("SAT3", SAT3)):
+        for gen in (gen_cnf_small, gen_cnf_adjust, gen_cnf_center):
+            for sigma in (Semantics.PREFERRED, Semantics.SEMI_STABLE):
+                key = f"{gen.__name__} {label} {sigma.value}"
+                outputs[key] = gen(formula, sigma)
+    for label, base in (("f1", f1), ("colliding", COLLIDING_BASE)):
+        outputs[f"adjust {label}"] = gen_adjust_from_small(
+            base, 1, Semantics.STABLE
+        )
+        outputs[f"center {label}"] = gen_center_from_small(
+            base, 2, Semantics.STABLE
+        )
+    digests = {key: _output_digest(out) for key, out in outputs.items()}
+    assert digests == PINNED_OUTPUTS
+
+
 def test_fresh_names_avoid_collisions():
-    base = ArgumentationFramework(("t", "t_2"), [("t", "t_2"), ("t_2", "t")])
-    out = gen_adjust_from_small(base, 1, Semantics.STABLE)
+    out = gen_adjust_from_small(COLLIDING_BASE, 1, Semantics.STABLE)
     hub = out.name_map["t"]
     assert hub not in ("t", "t_2")
     assert out.instance.framework.n == 3

@@ -49,6 +49,12 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = set(_imported_names(tree))
+    assert sorted(argudyn.__all__) == sorted(imported | {"__version__"})
+
+
 def test_search_modules_do_not_recurse():
     # the search depth follows the framework size in these modules, so a
     # recursive call could exceed the interpreter's recursion limit
