@@ -101,7 +101,7 @@ class ArgumentationFramework:
     # -- identity ---------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, ArgumentationFramework)
             and self.arguments == other.arguments
             and self.attacks == other.attacks
@@ -242,8 +242,9 @@ def adm_mask(af: ArgumentationFramework, mask: int) -> bool:
     if attacked & mask:
         return False
     attackers = af._attackers
+    free = ~attacked
     for i in iter_bits(mask):
-        if attackers[i] & ~attacked:
+        if attackers[i] & free:
             return False
     return True
 
@@ -253,11 +254,13 @@ def com_mask(af: ArgumentationFramework, mask: int) -> bool:
     if attacked & mask:
         return False
     attackers = af._attackers
+    free = ~attacked
     for i in iter_bits(mask):
-        if attackers[i] & ~attacked:
+        if attackers[i] & free:
             return False
-    for i in iter_bits(af.full_mask & ~mask):
-        if attackers[i] & ~attacked == 0:
+    # an attacked outsider is undefended: its attacker in mask is unattacked
+    for i in iter_bits(af.full_mask & free & ~mask):
+        if not attackers[i] & free:
             return False
     return True
 

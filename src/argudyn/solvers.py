@@ -317,50 +317,65 @@ def solve_center(
 # -- branching route for Repair ------------------------------------------------
 
 
+def _defects(
+    af: ArgumentationFramework, e: int, attacked: int, region: int, masks=(0,) * 4
+) -> tuple[int, ...]:
+    """The defect masks of e, given the arguments it attacks: its clash
+    sources (members attacking a member), undefended members, unattacked
+    outsiders and the defended ones among those; found on region and taken
+    from masks everywhere else."""
+    attackers = af._attackers
+    targets = af._targets
+    free = ~attacked
+    clash, undefended, unattacked, defended = (m & ~region for m in masks)
+    for x in iter_bits(region):
+        bit = 1 << x
+        if e & bit:
+            if targets[x] & e:
+                clash |= bit
+            if attackers[x] & free:
+                undefended |= bit
+        elif not attacked & bit:
+            unattacked |= bit
+            if not attackers[x] & free:
+                defended |= bit
+    return clash, undefended, unattacked, defended
+
+
 def _moves(
-    af: ArgumentationFramework, sigma: Semantics, e: int, attacked: int
+    af: ArgumentationFramework, sigma: Semantics, e: int, defects: tuple[int, ...]
 ) -> list[tuple[int, bool]] | None:
-    """The first defect of e, given the arguments it attacks, as its ordered
-    repair moves (bit, adds): add the argument of bit to e, or drop it.
-    None when e has no defect.
+    """The first defect of e, the lowest argument of the first nonzero of its
+    defect masks, as its ordered repair moves (bit, adds): add the argument
+    of bit to e, or drop it.  None when e has no defect.
 
     The defects, checked in order: an attack inside e, an undefended member,
     an uncovered outsider (stb), a defended outsider (com), emptiness.
     """
     attackers = af._attackers
-    clash = attacked & e
+    clash, undefended, unattacked, defended = defects
     if clash:
         # the first attack inside e in (source, target) order: the lowest
         # member attacking a member, then the lowest member it attacks
-        sources = 0
-        for j in iter_bits(clash):
-            sources |= attackers[j]
-        sources &= e
-        i = sources & -sources
+        i = clash & -clash
         hit = af._targets[i.bit_length() - 1] & e
         j = hit & -hit
         return [(i, False)] if i == j else [(i, False), (j, False)]
-    for i in iter_bits(e):
-        hole = attackers[i] & ~attacked
-        if hole:
-            z = (hole & -hole).bit_length() - 1
-            return [(1 << i, False)] + [(1 << w, True) for w in iter_bits(attackers[z])]
-    # e is conflict-free here, so every outsider it attacks has an attacker
-    # in e that e leaves unattacked: only the rest can be uncovered or defended
-    rest = af.full_mask & ~(e | attacked)
-    if sigma is Semantics.STABLE and rest:
-        z = (rest & -rest).bit_length() - 1
+    if undefended:
+        i = (undefended & -undefended).bit_length() - 1
+        # the lowest attacker of i that e leaves unattacked
+        z = next(z for z in iter_bits(attackers[i]) if not attackers[z] & e)
+        return [(1 << i, False)] + [(1 << w, True) for w in iter_bits(attackers[z])]
+    if sigma is Semantics.STABLE and unattacked:
+        z = (unattacked & -unattacked).bit_length() - 1
         return [(1 << w, True) for w in iter_bits(attackers[z] | 1 << z)]
-    if sigma is Semantics.COMPLETE:
-        for z in iter_bits(rest):
-            if not attackers[z] & ~attacked:
-                # take z in, or drop a defender
-                defenders = 0
-                for a in iter_bits(attackers[z]):
-                    defenders |= attackers[a]
-                return [(1 << z, True)] + [
-                    (1 << d, False) for d in iter_bits(defenders & e)
-                ]
+    if sigma is Semantics.COMPLETE and defended:
+        # take z in, or drop a defender
+        z = (defended & -defended).bit_length() - 1
+        defenders = 0
+        for a in iter_bits(attackers[z]):
+            defenders |= attackers[a]
+        return [(1 << z, True)] + [(1 << d, False) for d in iter_bits(defenders & e)]
     if not e:
         return [(1 << z, True) for z in range(af.n)]
     return None
@@ -380,6 +395,11 @@ def solve_repair_branching(
     branch when the candidate goes empty).  A node (cin, cout, budget)
     names the set S + cin - cout; the open nodes sit on an explicit stack,
     children pushed in reverse so that they are visited in move order.
+
+    S's defects are found once.  Whether x is a defect depends only on the
+    set at x, its attackers, its targets and its attackers' attackers, so a
+    node looks again only at its flips, their attackers, their targets and
+    their targets' targets.
     """
     if sigma.needs_maximality:
         raise UnsupportedSemantics(
@@ -391,13 +411,30 @@ def solve_repair_branching(
         raise ValueError("start set does not belong to the framework")
     start = time.perf_counter()
     stats = SolveStats()
+    attackers = af._attackers
     targets = af._targets
+    anchor = s.mask
+    attacked0 = attacked_mask(af, anchor)
+    # an attacked outsider has no defect, so the scan skips them
+    defects0 = _defects(af, anchor, attacked0, af.full_mask & (anchor | ~attacked0))
     stack = [(0, 0, k)]
     while stack:
         cin, cout, budget = stack.pop()
         stats.nodes += 1
-        e = cin | (s.mask & ~cout)
-        moves = _moves(af, sigma, e, attacked_mask(af, e))
+        flips = cin | cout
+        e = anchor ^ flips
+        # only the flips' targets can change whether e attacks them
+        hit = region = 0
+        for f in iter_bits(flips):
+            hit |= targets[f]
+            region |= attackers[f]
+        attacked = attacked0 & ~hit
+        region |= flips | hit
+        for t in iter_bits(hit):
+            region |= targets[t]
+            if attackers[t] & e:
+                attacked |= 1 << t
+        moves = _moves(af, sigma, e, _defects(af, e, attacked, region, defects0))
         if moves is None:
             if sigma_member_mask(af, e, sigma):
                 return _result(af, e, stats, start)

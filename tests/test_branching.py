@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,8 +11,9 @@ from argudyn import (
     solve_repair,
     solve_small,
 )
+from argudyn import core, solvers
 from argudyn.solvers import solve_repair_branching
-from conftest import random_framework
+from conftest import planted_framework, random_framework
 
 SIGMAS = (Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.STABLE)
 
@@ -114,3 +116,61 @@ def test_branching_depth_is_not_bounded_by_the_recursion_limit():
     assert res.answer
     assert res.witness.names == tuple(f"y{i}" for i in range(pairs))
     assert res.stats.nodes == pairs + 1
+
+
+def _planted_starts(rng, n, p, count):
+    """count start sets, each the planted set with 1 to 3 arguments flipped."""
+    for j in range(count):
+        s = p
+        for x in rng.sample(range(n), 1 + j % 3):
+            s ^= 1 << x
+        yield s
+
+
+def test_branching_trace_is_pinned():
+    # answer, witness and node count of every solve over a seeded corpus,
+    # hashed: a change to the move order, the node order or the witness
+    # changes the digest
+    runs = []
+    rng = random.Random(404)
+    for _ in range(2000):
+        af = random_framework(rng, rng.randint(1, 10))
+        s = af.set_from_mask(rng.randrange(1 << af.n))
+        runs.append((af, s, rng.choice(SIGMAS), rng.randint(0, 5)))
+    af, p = planted_framework(random.Random(7), 2000)
+    for j, s in enumerate(_planted_starts(random.Random(8), af.n, p, 30)):
+        for sigma in SIGMAS:
+            runs.append((af, af.set_from_mask(s), sigma, 2 + j % 5))
+    trace = []
+    for af, s, sigma, k in runs:
+        res = solve_repair_branching(af, s, sigma, k)
+        names = res.witness.names if res.answer else None
+        trace.append((res.answer, names, res.stats.nodes))
+    digest = hashlib.sha256(repr(trace).encode()).hexdigest()
+    assert digest == (
+        "ab3389f7f11037ea5aa31b996720e9ad4517cf0846a84479e4910152105b6ce6"
+    )
+
+
+def test_branching_makes_two_whole_set_passes_per_solve(monkeypatch):
+    # the anchor's defects take one pass, the YES re-check another; the
+    # nodes in between look only around their flips
+    calls = []
+    original = core.attacked_mask
+
+    def counting(af, mask):
+        calls.append(mask)
+        return original(af, mask)
+
+    monkeypatch.setattr(core, "attacked_mask", counting)
+    monkeypatch.setattr(solvers, "attacked_mask", counting)
+    af, p = planted_framework(random.Random(11), 2000)
+    seen = 0
+    for s in _planted_starts(random.Random(12), af.n, p, 12):
+        for sigma in SIGMAS:
+            calls.clear()
+            res = solve_repair_branching(af, af.set_from_mask(s), sigma, 4)
+            assert res.answer
+            assert len(calls) <= 2, (sigma, res.stats.nodes, len(calls))
+            seen = max(seen, res.stats.nodes)
+    assert seen >= 5
