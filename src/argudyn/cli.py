@@ -14,21 +14,10 @@ import random
 import sys
 from pathlib import Path
 
-from .bench import SUITES, run_bench
 from .core import ArgumentationFramework, ArgumentSet, Semantics
 from .enumeration import enumerate_extensions
 from .errors import ArgudynError, IoError
 from .formats import load_cnf, load_framework, write_apx
-from .gadgets import (
-    GadgetOutput,
-    gen_adjust_from_small,
-    gen_center_from_small,
-    gen_cnf_adjust,
-    gen_cnf_center,
-    gen_cnf_small,
-    gen_mcq_small,
-    random_kpartite,
-)
 from .instances import (
     ProblemInstance,
     adjust_instance,
@@ -123,7 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench", parents=[common], help="run a benchmark suite to CSV"
     )
-    p_bench.add_argument("--suite", required=True, choices=SUITES)
+    # bench.run_bench rejects an unknown suite and names the known ones, so
+    # the parser needs no copy of them and bench loads only for this command
+    p_bench.add_argument("--suite", required=True, help="suite to run")
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.add_argument("--seed", type=int, default=0)
 
@@ -248,28 +239,31 @@ def _instance_summary(instance: ProblemInstance) -> dict:
     return summary
 
 
-def _generate(args: argparse.Namespace) -> GadgetOutput:
+def _generate(args: argparse.Namespace):
+    """The gadgets.GadgetOutput that `gen` writes."""
+    from . import gadgets
+
     default = "prf" if args.what.startswith("cnf-") else "adm"
     sigma = Semantics.parse(args.semantics or default)
     if args.what == "mcq":
         rng = random.Random(args.seed)
-        graph = random_kpartite(
+        graph = gadgets.random_kpartite(
             rng, k=args.parts, max_part_size=args.part_size, edge_prob=args.edge_prob
         )
-        return gen_mcq_small(graph, sigma)
+        return gadgets.gen_mcq_small(graph, sigma)
     if args.what in ("adjust", "center"):
         _require(args.base_af is not None, f"gen {args.what} requires --base-af")
         _require(args.k is not None, f"gen {args.what} requires -k")
         base = load_framework(args.base_af)
         if args.what == "adjust":
-            return gen_adjust_from_small(base, args.k, sigma)
-        return gen_center_from_small(base, args.k, sigma)
+            return gadgets.gen_adjust_from_small(base, args.k, sigma)
+        return gadgets.gen_center_from_small(base, args.k, sigma)
     _require(args.cnf is not None, f"gen {args.what} requires --cnf")
     formula = load_cnf(args.cnf)
     generator = {
-        "cnf-small": gen_cnf_small,
-        "cnf-adjust": gen_cnf_adjust,
-        "cnf-center": gen_cnf_center,
+        "cnf-small": gadgets.gen_cnf_small,
+        "cnf-adjust": gadgets.gen_cnf_adjust,
+        "cnf-center": gadgets.gen_cnf_center,
     }[args.what]
     return generator(formula, sigma)
 
@@ -310,6 +304,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import run_bench
+
     records = run_bench(args.suite, seed=args.seed, out_path=args.out)
     if args.format == "json":
         print(json.dumps({"out": str(args.out), "records": len(records)}))

@@ -11,7 +11,7 @@ class CapExceeded(ArgudynError):
     def __init__(self, size: int, cap: int):
         super().__init__(
             f"framework has {size} arguments, exceeding the enumeration cap {cap}; "
-            f"pass an explicit cap to override"
+            f"the cap must be at least the argument count"
         )
         self.size = size
         self.cap = cap

@@ -236,7 +236,7 @@ def load_framework(path: str | Path) -> ArgumentationFramework:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     if path.suffix.lower() == ".tgf":
         return parse_tgf(text)
@@ -247,7 +247,7 @@ def load_cnf(path: str | Path) -> ThreeCnfTwoFormula:
     """Read a DIMACS CNF file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return parse_dimacs_cnf(text)
 

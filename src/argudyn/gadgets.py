@@ -557,6 +557,8 @@ def random_kpartite(
     cross-part vertex pair becoming an edge with probability edge_prob."""
     if k < 1 or max_part_size < 1:
         raise ValueError("need k >= 1 and max_part_size >= 1")
+    if not 0 <= edge_prob <= 1:  # NaN fails too
+        raise ValueError(f"need 0 <= edge_prob <= 1, got {edge_prob}")
     parts: list[tuple[str, ...]] = []
     counter = 1
     for _ in range(k):

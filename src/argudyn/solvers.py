@@ -34,15 +34,6 @@ from .core import (
 )
 from .enumeration import preferred_mask, resolve_cap, semistable_mask
 from .errors import CapExceeded, NotAnExtension, UnsupportedSemantics
-from .firstorder import (
-    adjust_body,
-    center_body,
-    first_model,
-    repair_body,
-    sigma_of,
-    small_body,
-    structure_of,
-)
 from .instances import ProblemInstance, ProblemKind
 
 ENGINES = ("delta", "branching", "fo")
@@ -259,7 +250,7 @@ def _validate_extension(
     label: str,
 ) -> None:
     if not sigma_member_mask(af, e.mask, sigma, cap):
-        raise NotAnExtension(f"{label} is not a {sigma.value}-extension")
+        raise NotAnExtension(f"{label} is not an extension under {sigma.value}")
 
 
 def solve_adjust(
@@ -451,16 +442,31 @@ def solve_repair_branching(
 
 
 # -- first-order route ----------------------------------------------------------
+# firstorder is imported when an fo solve first runs; the other engines never
+# load it.
 
 
-def _fo_gate(sigma: Semantics) -> None:
-    sigma_of(sigma)  # raises UnsupportedSemantics for prf/sem
+def _firstorder(sigma: Semantics):
+    """The firstorder module; raises UnsupportedSemantics for prf/sem."""
+    from . import firstorder
+
+    firstorder.sigma_of(sigma)
+    return firstorder
+
+
+def structure_of(af: ArgumentationFramework, **unary):
+    """The instance structure of the fo scan (firstorder.structure_of)."""
+    from . import firstorder
+
+    return firstorder.structure_of(af, **unary)
 
 
 def _fo_scan(af: ArgumentationFramework, anchor: int, layers, **unary) -> SolveResult:
     """Scan the layers, (witness variables, open body) pairs, in order over
     the instance structure; the first model of the first layer that has one
     names the arguments to flip in anchor."""
+    from .firstorder import first_model
+
     start = time.perf_counter()
     stats = SolveStats()
     st = structure_of(af, **unary)
@@ -475,10 +481,10 @@ def _fo_scan(af: ArgumentationFramework, anchor: int, layers, **unary) -> SolveR
 def fo_solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int
 ) -> SolveResult:
-    _fo_gate(sigma)
+    fo = _firstorder(sigma)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    layers = [small_body(sigma, min(k, af.n))] if k >= 1 and af.n else []
+    layers = [fo.small_body(sigma, min(k, af.n))] if k >= 1 and af.n else []
     return _fo_scan(af, 0, layers)
 
 
@@ -486,13 +492,13 @@ def fo_solve_repair(
     af: ArgumentationFramework, s: ArgumentSet, sigma: Semantics, k: int
 ) -> SolveResult:
     """Repair via the corrected sentence: distance-l disjuncts, l = 0..k."""
-    _fo_gate(sigma)
+    fo = _firstorder(sigma)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if s.af != af:
         raise ValueError("start set does not belong to the framework")
     widths = range(min(k, af.n) + 1) if af.n else ()
-    layers = (repair_body(sigma, l, require_nonempty=True) for l in widths)
+    layers = (fo.repair_body(sigma, l, require_nonempty=True) for l in widths)
     return _fo_scan(af, s.mask, layers, S=s)
 
 
@@ -505,14 +511,14 @@ def fo_solve_adjust(
     cap: int | None = None,
     require_nonempty: bool = False,
 ) -> SolveResult:
-    _fo_gate(sigma)
+    fo = _firstorder(sigma)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if e0.af != af:
         raise ValueError("start extension does not belong to the framework")
     af.index_of(target)  # an unknown target raises ValueError here
     _validate_extension(af, e0, sigma, cap, "E0")
-    layers = [adjust_body(sigma, min(k, af.n), require_nonempty)] if k >= 1 else []
+    layers = [fo.adjust_body(sigma, min(k, af.n), require_nonempty)] if k >= 1 else []
     return _fo_scan(af, e0.mask, layers, E0=e0, T=(target,))
 
 
@@ -524,14 +530,14 @@ def fo_solve_center(
     cap: int | None = None,
     require_nonempty: bool = False,
 ) -> SolveResult:
-    _fo_gate(sigma)
+    fo = _firstorder(sigma)
     if e1.af != af or e2.af != af:
         raise ValueError("endpoint sets do not belong to the framework")
     _validate_extension(af, e1, sigma, cap, "E1")
     _validate_extension(af, e2, sigma, cap, "E2")
     # k = dist(E1, E2) <= n, so k - 1 witness variables never exceed n
     k = (e1.mask ^ e2.mask).bit_count()
-    layers = [center_body(sigma, k, require_nonempty)] if k >= 2 else []
+    layers = [fo.center_body(sigma, k, require_nonempty)] if k >= 2 else []
     return _fo_scan(af, e1.mask, layers, E1=e1, E2=e2)
 
 

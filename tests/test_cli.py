@@ -169,6 +169,28 @@ def test_usage_errors_exit_two(f1_path, capsys, tmp_path):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_a_file_that_is_not_utf8_is_named_in_the_diagnostic(tmp_path, capsys):
+    path = tmp_path / "bin.apx"
+    path.write_bytes(b"\x8e" * 100)
+    assert run_cli(["solve", "repair", "--af", str(path), "--semantics", "adm",
+                    "--set", "a", "-k", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}:") and err.count("\n") == 1
+
+
+def test_diagnostics_read_right(tmp_path, f4_path, capsys):
+    path = tmp_path / "two.apx"
+    path.write_text("arg(a). arg(b). att(a,b).", encoding="utf-8")
+    assert run_cli(["enumerate", "--af", str(path), "--semantics", "prf",
+                    "--enum-cap", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "cap 1; the cap must be at least the argument count" in err
+    assert "explicit cap" not in err
+    assert run_cli(["solve", "center", "--af", f4_path, "--semantics", "adm",
+                    "--e1", "", "--e2", "a,b"]) == 2
+    assert capsys.readouterr().err == "error: E2 is not an extension under adm\n"
+
+
 def test_enum_cap_flag(tmp_path, capsys):
     names = [f"x{i}" for i in range(21)]
     text = "".join(f"arg({n}).\n" for n in names)
@@ -221,6 +243,14 @@ def test_gen_writes_apx_and_sidecar(tmp_path, capsys):
     )
     capsys.readouterr()
     assert out2.read_text(encoding="utf-8") == out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("prob", ["3", "-0.1", "nan"])
+def test_gen_mcq_rejects_an_edge_prob_outside_the_unit_interval(tmp_path, capsys, prob):
+    out = tmp_path / "mcq.apx"
+    assert run_cli(["gen", "mcq", "--edge-prob", prob, "--out", str(out)]) == 2
+    assert "edge_prob" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gen_wraps_and_cnf(tmp_path, f1_path, unsat_path, capsys):

@@ -155,3 +155,14 @@ def test_load_dispatch(tmp_path, f1):
         load_framework(tmp_path / "missing.apx")
     with pytest.raises(IoError):
         load_cnf(tmp_path / "missing.cnf")
+
+
+@pytest.mark.parametrize("load, name", [(load_framework, "bin.apx"),
+                                        (load_framework, "bin.tgf"),
+                                        (load_cnf, "bin.cnf")])
+def test_a_file_that_is_not_utf8_raises_io_error_naming_it(tmp_path, load, name):
+    path = tmp_path / name
+    path.write_bytes(b"\x8e" * 100)
+    with pytest.raises(IoError) as err:
+        load(path)
+    assert str(err.value).startswith(f"cannot read {path}: ")
