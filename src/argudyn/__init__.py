@@ -23,9 +23,10 @@ if TYPE_CHECKING:
         DEFAULT_ENUM_CAP, enumerate_extensions, is_preferred, is_semistable,
     )
     from .errors import (
-        ArgudynError, CapExceeded, DuplicateArgument, InvalidArity,
-        InvalidCap, IoError, NotAnExtension, NotThreeCnfTwo, OddK, ParseError,
-        UnboundVariable, UndeclaredArgument, UnsupportedSemantics,
+        ArgudynError, CapExceeded, DuplicateArgument, FormulaTooDeep,
+        InvalidArity, InvalidCap, IoError, NotAnExtension, NotThreeCnfTwo,
+        OddK, ParseError, UnboundVariable, UndeclaredArgument,
+        UnsupportedSemantics,
     )
     from .formats import (
         ThreeCnfTwoFormula, load_cnf, load_framework, parse_apx,
@@ -57,9 +58,9 @@ _HOME = {
         "is_admissible is_complete is_conflict_free is_stable max_degree range_of",
         "enumeration": "DEFAULT_ENUM_CAP enumerate_extensions is_preferred "
         "is_semistable",
-        "errors": "ArgudynError CapExceeded DuplicateArgument InvalidArity "
-        "InvalidCap IoError NotAnExtension NotThreeCnfTwo OddK ParseError "
-        "UnboundVariable UndeclaredArgument UnsupportedSemantics",
+        "errors": "ArgudynError CapExceeded DuplicateArgument FormulaTooDeep "
+        "InvalidArity InvalidCap IoError NotAnExtension NotThreeCnfTwo OddK "
+        "ParseError UnboundVariable UndeclaredArgument UnsupportedSemantics",
         "formats": "ThreeCnfTwoFormula load_cnf load_framework parse_apx "
         "parse_dimacs_cnf parse_tgf write_apx write_dimacs_cnf write_tgf",
         "gadgets": "GadgetOutput KPartiteGraph cnf even_k_duplicate "

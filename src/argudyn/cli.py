@@ -190,22 +190,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _solve_instance_from_args(args: argparse.Namespace) -> ProblemInstance:
     af = load_framework(args.af)
     sigma = Semantics.parse(args.semantics)
+    # the options the problem reads; it refuses the others
+    reads = {"small": "k", "repair": "set k", "adjust": "e0 target k",
+             "center": "e1 e2"}[args.problem].split()
+    for dest in ("set", "e0", "target", "e1", "e2", "k"):
+        flag = "-k" if dest == "k" else "--" + dest
+        given = getattr(args, dest) is not None
+        if dest in reads:
+            _require(given, f"solve {args.problem} requires {flag}")
+        else:
+            _require(not given, f"solve {args.problem} does not take {flag}")
     if args.problem == "small":
-        _require(args.k is not None, "solve small requires -k")
         return small_instance(af, sigma, args.k)
     if args.problem == "repair":
-        _require(args.set is not None, "solve repair requires --set")
-        _require(args.k is not None, "solve repair requires -k")
         return repair_instance(af, _set_of(af, args.set), sigma, args.k)
     if args.problem == "adjust":
-        _require(args.e0 is not None, "solve adjust requires --e0")
-        _require(args.target is not None, "solve adjust requires --target")
-        _require(args.k is not None, "solve adjust requires -k")
         return adjust_instance(
             af, _set_of(af, args.e0), args.target.strip(), sigma, args.k
         )
-    _require(args.e1 is not None, "solve center requires --e1")
-    _require(args.e2 is not None, "solve center requires --e2")
     return center_instance(af, _set_of(af, args.e1), _set_of(af, args.e2), sigma)
 
 

@@ -60,9 +60,9 @@ class ArgumentationFramework:
         "attacks",
         "n",
         "full_mask",
+        "attackers",
+        "targets",
         "_index",
-        "_attackers",
-        "_targets",
         "_hash",
     )
 
@@ -94,8 +94,10 @@ class ArgumentationFramework:
         self.n = n
         self.full_mask = (1 << n) - 1
         self._index = index
-        self._attackers = attackers
-        self._targets = targets
+        # one bitmask row per argument: the arguments attacking it, and the
+        # arguments it attacks
+        self.attackers = tuple(attackers)
+        self.targets = tuple(targets)
         self._hash = hash((args, self.attacks))
 
     # -- identity ---------------------------------------------------------
@@ -227,7 +229,7 @@ class ArgumentSet:
 def attacked_mask(af: ArgumentationFramework, mask: int) -> int:
     """Union of targets of all members of mask."""
     out = 0
-    targets = af._targets
+    targets = af.targets
     for i in iter_bits(mask):
         out |= targets[i]
     return out
@@ -241,7 +243,7 @@ def adm_mask(af: ArgumentationFramework, mask: int) -> bool:
     attacked = attacked_mask(af, mask)
     if attacked & mask:
         return False
-    attackers = af._attackers
+    attackers = af.attackers
     free = ~attacked
     for i in iter_bits(mask):
         if attackers[i] & free:
@@ -253,7 +255,7 @@ def com_mask(af: ArgumentationFramework, mask: int) -> bool:
     attacked = attacked_mask(af, mask)
     if attacked & mask:
         return False
-    attackers = af._attackers
+    attackers = af.attackers
     free = ~attacked
     for i in iter_bits(mask):
         if attackers[i] & free:
@@ -292,7 +294,7 @@ def is_conflict_free(af: ArgumentationFramework, s: ArgumentSet) -> bool:
 def defends(af: ArgumentationFramework, s: ArgumentSet, x: str) -> bool:
     """True iff every attacker of x is attacked by some member of S."""
     mask = _same_af(af, s)
-    return af._attackers[af.index_of(x)] & ~attacked_mask(af, mask) == 0
+    return af.attackers[af.index_of(x)] & ~attacked_mask(af, mask) == 0
 
 
 def is_admissible(af: ArgumentationFramework, s: ArgumentSet) -> bool:
@@ -321,7 +323,7 @@ def max_degree(af: ArgumentationFramework) -> int:
     """
     best = 0
     for i in range(af.n):
-        adj = (af._attackers[i] | af._targets[i]) & ~(1 << i)
+        adj = (af.attackers[i] | af.targets[i]) & ~(1 << i)
         deg = adj.bit_count()
         if deg > best:
             best = deg

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Iterator
 
 from .core import (
     ArgumentationFramework,
@@ -14,6 +12,7 @@ from .core import (
     attacked_mask,
     com_mask,
     iter_bits,
+    mask_key,
     stb_mask,
 )
 from .errors import CapExceeded, InvalidCap
@@ -46,34 +45,14 @@ def _gate(af: ArgumentationFramework, cap: int | None) -> None:
         raise CapExceeded(af.n, limit)
 
 
-@dataclass(frozen=True)
-class ExtensionList:
-    """Extensions of one framework under one semantics, in canonical order."""
-
-    semantics: Semantics
-    extensions: tuple[ArgumentSet, ...]
-
-    def __iter__(self) -> Iterator[ArgumentSet]:
-        return iter(self.extensions)
-
-    def __len__(self) -> int:
-        return len(self.extensions)
-
-    def __contains__(self, s: ArgumentSet) -> bool:
-        return s in self.extensions
-
-    def masks(self) -> set[int]:
-        return {s.mask for s in self.extensions}
-
-
 def _conflict_free_masks(af: ArgumentationFramework) -> list[int]:
     """All conflict-free subsets, one argument index at a time.
 
     Each set is followed by itself plus the next argument, when that stays
     conflict-free: the order of a depth-first search that leaves each
     argument out before taking it in."""
-    attackers = af._attackers
-    targets = af._targets
+    attackers = af.attackers
+    targets = af.targets
     out = [0]
     for i in range(af.n):
         bit = 1 << i
@@ -91,34 +70,20 @@ def _conflict_free_masks(af: ArgumentationFramework) -> list[int]:
 
 def enumerate_extensions(
     af: ArgumentationFramework, sigma: Semantics, cap: int | None = None
-) -> ExtensionList:
-    """All sigma-extensions of af in canonical (cardinality, lexicographic) order."""
+) -> tuple[ArgumentSet, ...]:
+    """All sigma-extensions of af in canonical (cardinality, lexicographic)
+    order: the conflict-free sets that pass sigma's membership check."""
+    cap = resolve_cap(cap)
     _gate(af, cap)
-    cf = _conflict_free_masks(af)
-    if sigma is Semantics.STABLE:
-        chosen = [m for m in cf if stb_mask(af, m)]
-    else:
-        adm = [m for m in cf if adm_mask(af, m)]
-        if sigma is Semantics.ADMISSIBLE:
-            chosen = adm
-        elif sigma is Semantics.COMPLETE:
-            chosen = [m for m in adm if com_mask(af, m)]
-        elif sigma is Semantics.PREFERRED:
-            chosen = [m for m in adm if not any(t != m and t & m == m for t in adm)]
-        elif sigma is Semantics.SEMI_STABLE:
-            ranges = {m: m | attacked_mask(af, m) for m in adm}
-            chosen = [
-                m
-                for m in adm
-                if not any(
-                    ranges[t] != ranges[m] and ranges[t] & ranges[m] == ranges[m]
-                    for t in adm
-                )
-            ]
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unhandled semantics {sigma}")
-    sets = sorted((ArgumentSet(af, m) for m in chosen), key=ArgumentSet.sort_key)
-    return ExtensionList(sigma, tuple(sets))
+    member = {
+        Semantics.ADMISSIBLE: adm_mask,
+        Semantics.COMPLETE: com_mask,
+        Semantics.STABLE: stb_mask,
+        Semantics.PREFERRED: lambda af, m: preferred_mask(af, m, cap),
+        Semantics.SEMI_STABLE: lambda af, m: semistable_mask(af, m, cap),
+    }[sigma]
+    chosen = [m for m in _conflict_free_masks(af) if member(af, m)]
+    return tuple(ArgumentSet(af, m) for m in sorted(chosen, key=mask_key))
 
 
 # -- maximality searches ----------------------------------------------------
@@ -160,8 +125,8 @@ def _grow_admissible(
     the set, cover and reach, so searches with the same cover and reach can
     share it.
     """
-    attackers = af._attackers
-    targets = af._targets
+    attackers = af.attackers
+    targets = af.targets
     # any set whose range meets reach holds an argument of reach or one of
     # its attackers
     reach_options = 0
@@ -215,23 +180,13 @@ def _grow_admissible(
             return False
 
 
-def exists_admissible_superset(
-    af: ArgumentationFramework, seed_mask: int
-) -> bool:
-    """True iff some admissible set contains all of seed_mask."""
-    hit = attacked_mask(af, seed_mask)
-    if hit & seed_mask:
-        return False
-    return _grow_admissible(af, seed_mask, hit, 0, set())
-
-
 def preferred_mask(
     af: ArgumentationFramework, mask: int, cap: int | None = None
 ) -> bool:
     _gate(af, cap)
     if not adm_mask(af, mask):
         return False
-    targets = af._targets
+    targets = af.targets
     hit = attacked_mask(af, mask)
     failed: set[int] = set()
     # an outsider that mask attacks can never join it

@@ -43,6 +43,15 @@ class UnboundVariable(ArgudynError):
     """A formula was evaluated with a free variable left unassigned."""
 
 
+class FormulaTooDeep(ArgudynError):
+    """A formula nests deeper than the interpreter's recursion limit."""
+
+    def __init__(self):
+        super().__init__(
+            "formula nests deeper than the interpreter's recursion limit"
+        )
+
+
 class NotThreeCnfTwo(ArgudynError):
     """A CNF formula violates the 3-occurrence/2-per-literal shape."""
 

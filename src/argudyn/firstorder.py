@@ -13,7 +13,12 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .core import ArgumentationFramework, ArgumentSet, Semantics
-from .errors import InvalidArity, UnboundVariable, UnsupportedSemantics
+from .errors import (
+    FormulaTooDeep,
+    InvalidArity,
+    UnboundVariable,
+    UnsupportedSemantics,
+)
 
 # -- AST --------------------------------------------------------------------
 
@@ -88,28 +93,6 @@ def attacks(x: str, y: str) -> Formula:
     return App2("A", x, y)
 
 
-# -- structural attributes ----------------------------------------------------
-
-
-def free_variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, Eq):
-        return frozenset((f.left, f.right))
-    if isinstance(f, App1):
-        return frozenset((f.arg,))
-    if isinstance(f, App2):
-        return frozenset((f.left, f.right))
-    if isinstance(f, Not):
-        return free_variables(f.body)
-    if isinstance(f, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for item in f.items:
-            out |= free_variables(item)
-        return out
-    if isinstance(f, Implies):
-        return free_variables(f.left) | free_variables(f.right)
-    return free_variables(f.body) - {f.var}
-
-
 # -- fresh variables -----------------------------------------------------------
 
 _fresh_counter = itertools.count(1)
@@ -129,15 +112,13 @@ def unary_pred(rel: str) -> Pred:
 class Structure:
     """A framework as a finite relational structure: its arguments are the
     universe and its attacks the binary A; named unary sets are kept as
-    masks.  The universe, index and rows are the framework's own tables."""
+    masks."""
 
-    __slots__ = ("universe", "_index", "_rows", "_unary_masks")
+    __slots__ = ("af", "unary")
 
     def __init__(self, af: ArgumentationFramework, unary: Mapping[str, int]):
-        self.universe = af.arguments
-        self._index = af._index
-        self._rows = af._targets
-        self._unary_masks = unary
+        self.af = af
+        self.unary = unary
 
 
 def structure_of(
@@ -148,33 +129,35 @@ def structure_of(
 
 
 # -- evaluator ----------------------------------------------------------------
+#
+# A formula compiles to nested closures, so compiling and evaluating recurse
+# once per nested connective; past the interpreter's recursion limit both
+# raise FormulaTooDeep.
+
+
+def _slot(slots: dict[str, int], var: str) -> int:
+    try:
+        return slots[var]
+    except KeyError:
+        raise UnboundVariable(f"variable {var!r} is not bound") from None
 
 
 def _compile(f: Formula, slots: dict[str, int], st: Structure, counter: list[int]):
     if isinstance(f, Eq):
-        try:
-            ia, ib = slots[f.left], slots[f.right]
-        except KeyError as e:
-            raise UnboundVariable(f"variable {e.args[0]!r} is not bound") from None
+        ia, ib = _slot(slots, f.left), _slot(slots, f.right)
         return lambda env: env[ia] == env[ib]
     if isinstance(f, App1):
         try:
-            mask = st._unary_masks[f.rel]
+            mask = st.unary[f.rel]
         except KeyError:
             raise ValueError(f"structure has no unary relation {f.rel!r}") from None
-        try:
-            ix = slots[f.arg]
-        except KeyError as e:
-            raise UnboundVariable(f"variable {e.args[0]!r} is not bound") from None
+        ix = _slot(slots, f.arg)
         return lambda env: bool(mask >> env[ix] & 1)
     if isinstance(f, App2):
         if f.rel != "A":
             raise ValueError(f"structure has no binary relation {f.rel!r}")
-        rows = st._rows
-        try:
-            ia, ib = slots[f.left], slots[f.right]
-        except KeyError as e:
-            raise UnboundVariable(f"variable {e.args[0]!r} is not bound") from None
+        rows = st.af.targets
+        ia, ib = _slot(slots, f.left), _slot(slots, f.right)
         return lambda env: bool(rows[env[ia]] >> env[ib] & 1)
     if isinstance(f, Not):
         sub = _compile(f.body, slots, st, counter)
@@ -199,7 +182,7 @@ def _compile(f: Formula, slots: dict[str, int], st: Structure, counter: list[int
     slot = counter[0]
     counter[0] += 1
     body = _compile(f.body, {**slots, f.var: slot}, st, counter)
-    rng = range(len(st.universe))
+    rng = range(st.af.n)
     if isinstance(f, Exists):
         def ex(env):
             for val in rng:
@@ -221,27 +204,26 @@ def _compile(f: Formula, slots: dict[str, int], st: Structure, counter: list[int
 def _compiled(st: Structure, f: Formula, variables: Sequence[str]):
     """f compiled with variables in the first slots, and an environment."""
     counter = [len(variables)]
-    fn = _compile(f, {v: i for i, v in enumerate(variables)}, st, counter)
+    try:
+        fn = _compile(f, {v: i for i, v in enumerate(variables)}, st, counter)
+    except RecursionError:
+        raise FormulaTooDeep() from None
     return fn, [0] * counter[0]
 
 
 def evaluate(
     st: Structure, f: Formula, assignment: Mapping[str, str] | None = None
 ) -> bool:
-    """Tarskian truth of f in st under the given free-variable assignment."""
+    """Tarskian truth of f in st under the given free-variable assignment;
+    a free variable the assignment leaves out raises UnboundVariable."""
     assignment = assignment or {}
-    free = sorted(free_variables(f))
-    values: list[int] = []
-    for v in free:
-        if v not in assignment:
-            raise UnboundVariable(f"variable {v!r} is not bound")
-        element = assignment[v]
-        if element not in st._index:
-            raise ValueError(f"element {element!r} is not in the universe")
-        values.append(st._index[element])
-    fn, env = _compiled(st, f, free)
+    values = [st.af.index_of(element) for element in assignment.values()]
+    fn, env = _compiled(st, f, list(assignment))
     env[: len(values)] = values
-    return fn(env)
+    try:
+        return fn(env)
+    except RecursionError:
+        raise FormulaTooDeep() from None
 
 
 def first_model(
@@ -255,13 +237,17 @@ def first_model(
     """
     fn, env = _compiled(st, body, variables)
     width = len(variables)
+    universe = st.af.arguments
     tried = 0
-    for tried, values in enumerate(
-        itertools.product(range(len(st.universe)), repeat=width), 1
-    ):
-        env[:width] = values
-        if fn(env):
-            return dict(zip(variables, (st.universe[i] for i in values))), tried
+    try:
+        for tried, values in enumerate(
+            itertools.product(range(len(universe)), repeat=width), 1
+        ):
+            env[:width] = values
+            if fn(env):
+                return dict(zip(variables, (universe[i] for i in values))), tried
+    except RecursionError:
+        raise FormulaTooDeep() from None
     return None, tried
 
 

@@ -11,6 +11,8 @@ layer at a time, and returns the first model in product order.
 Adjust and Center accept the empty set as a witness by default; pass
 require_nonempty=True to restrict to nonempty witnesses (the reduction
 equivalence checks in the gadget tests use that mode).
+
+Each entry validates its question with its problem's instances constructor.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from .core import (
 )
 from .enumeration import preferred_mask, resolve_cap, semistable_mask
 from .errors import CapExceeded, NotAnExtension, UnsupportedSemantics
-from .instances import ProblemInstance, ProblemKind
+from .instances import (
+    ProblemInstance,
+    ProblemKind,
+    adjust_instance,
+    center_instance,
+    repair_instance,
+    small_instance,
+)
 
 ENGINES = ("delta", "branching", "fo")
 
@@ -100,8 +109,8 @@ def _additions(
     set comes once, in lexicographic order of the additions.  The open sets
     sit on an explicit stack with the next position each has to try.
     """
-    attackers = af._attackers
-    targets = af._targets
+    attackers = af.attackers
+    targets = af.targets
     # each pick: its pool, one past the last position it can take, and
     # whether it starts its stage
     picks = [
@@ -222,8 +231,7 @@ def solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int, cap: int | None = None
 ) -> SolveResult:
     """Is there a nonempty sigma-extension with at most k members?"""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    small_instance(af, sigma, k)
     return _walk(af, sigma, cap, 0, 1, k, range(af.n))
 
 
@@ -235,10 +243,7 @@ def solve_repair(
     cap: int | None = None,
 ) -> SolveResult:
     """Is there a nonempty sigma-extension within distance k of S?"""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if s.af != af:
-        raise ValueError("start set does not belong to the framework")
+    repair_instance(af, s, sigma, k)
     return _walk(af, sigma, cap, s.mask, 0, k, range(af.n))
 
 
@@ -246,8 +251,8 @@ def _validate_extension(
     af: ArgumentationFramework,
     e: ArgumentSet,
     sigma: Semantics,
-    cap: int | None,
     label: str,
+    cap: int | None = None,
 ) -> None:
     if not sigma_member_mask(af, e.mask, sigma, cap):
         raise NotAnExtension(f"{label} is not an extension under {sigma.value}")
@@ -263,13 +268,10 @@ def solve_adjust(
     require_nonempty: bool = False,
 ) -> SolveResult:
     """Is there a sigma-extension within distance k of E0 that flips target?"""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if e0.af != af:
-        raise ValueError("start extension does not belong to the framework")
+    adjust_instance(af, e0, target, sigma, k)
     t = af.index_of(target)
     cap = _solve_cap(sigma, cap)
-    _validate_extension(af, e0, sigma, cap, "E0")
+    _validate_extension(af, e0, sigma, "E0", cap)
     others = [i for i in range(af.n) if i != t]
     return _walk(
         af, sigma, cap, e0.mask ^ 1 << t, 0, k - 1, others,
@@ -291,11 +293,10 @@ def solve_center(
     around E1; a delta with a members inside E1^E2 and b outside satisfies
     the E2-side bound exactly when b <= a-1, so only those are walked.
     """
-    if e1.af != af or e2.af != af:
-        raise ValueError("endpoint sets do not belong to the framework")
+    center_instance(af, e1, e2, sigma)
     cap = _solve_cap(sigma, cap)
-    _validate_extension(af, e1, sigma, cap, "E1")
-    _validate_extension(af, e2, sigma, cap, "E2")
+    _validate_extension(af, e1, sigma, "E1", cap)
+    _validate_extension(af, e2, sigma, "E2", cap)
     diff = e1.mask ^ e2.mask
     w = [i for i in range(af.n) if diff >> i & 1]
     rest = [i for i in range(af.n) if not diff >> i & 1]
@@ -315,8 +316,8 @@ def _defects(
     sources (members attacking a member), undefended members, unattacked
     outsiders and the defended ones among those; found on region and taken
     from masks everywhere else."""
-    attackers = af._attackers
-    targets = af._targets
+    attackers = af.attackers
+    targets = af.targets
     free = ~attacked
     clash, undefended, unattacked, defended = (m & ~region for m in masks)
     for x in iter_bits(region):
@@ -343,13 +344,13 @@ def _moves(
     The defects, checked in order: an attack inside e, an undefended member,
     an uncovered outsider (stb), a defended outsider (com), emptiness.
     """
-    attackers = af._attackers
+    attackers = af.attackers
     clash, undefended, unattacked, defended = defects
     if clash:
         # the first attack inside e in (source, target) order: the lowest
         # member attacking a member, then the lowest member it attacks
         i = clash & -clash
-        hit = af._targets[i.bit_length() - 1] & e
+        hit = af.targets[i.bit_length() - 1] & e
         j = hit & -hit
         return [(i, False)] if i == j else [(i, False), (j, False)]
     if undefended:
@@ -396,14 +397,11 @@ def solve_repair_branching(
         raise UnsupportedSemantics(
             f"branching route supports adm, com, stb; got {sigma.value}"
         )
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if s.af != af:
-        raise ValueError("start set does not belong to the framework")
+    repair_instance(af, s, sigma, k)
     start = time.perf_counter()
     stats = SolveStats()
-    attackers = af._attackers
-    targets = af._targets
+    attackers = af.attackers
+    targets = af.targets
     anchor = s.mask
     attacked0 = attacked_mask(af, anchor)
     # an attacked outsider has no defect, so the scan skips them
@@ -482,8 +480,7 @@ def fo_solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int
 ) -> SolveResult:
     fo = _firstorder(sigma)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    small_instance(af, sigma, k)
     layers = [fo.small_body(sigma, min(k, af.n))] if k >= 1 and af.n else []
     return _fo_scan(af, 0, layers)
 
@@ -493,10 +490,7 @@ def fo_solve_repair(
 ) -> SolveResult:
     """Repair via the corrected sentence: distance-l disjuncts, l = 0..k."""
     fo = _firstorder(sigma)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if s.af != af:
-        raise ValueError("start set does not belong to the framework")
+    repair_instance(af, s, sigma, k)
     widths = range(min(k, af.n) + 1) if af.n else ()
     layers = (fo.repair_body(sigma, l, require_nonempty=True) for l in widths)
     return _fo_scan(af, s.mask, layers, S=s)
@@ -508,16 +502,12 @@ def fo_solve_adjust(
     target: str,
     sigma: Semantics,
     k: int,
-    cap: int | None = None,
+    *,
     require_nonempty: bool = False,
 ) -> SolveResult:
     fo = _firstorder(sigma)
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if e0.af != af:
-        raise ValueError("start extension does not belong to the framework")
-    af.index_of(target)  # an unknown target raises ValueError here
-    _validate_extension(af, e0, sigma, cap, "E0")
+    adjust_instance(af, e0, target, sigma, k)
+    _validate_extension(af, e0, sigma, "E0")
     layers = [fo.adjust_body(sigma, min(k, af.n), require_nonempty)] if k >= 1 else []
     return _fo_scan(af, e0.mask, layers, E0=e0, T=(target,))
 
@@ -527,14 +517,13 @@ def fo_solve_center(
     e1: ArgumentSet,
     e2: ArgumentSet,
     sigma: Semantics,
-    cap: int | None = None,
+    *,
     require_nonempty: bool = False,
 ) -> SolveResult:
     fo = _firstorder(sigma)
-    if e1.af != af or e2.af != af:
-        raise ValueError("endpoint sets do not belong to the framework")
-    _validate_extension(af, e1, sigma, cap, "E1")
-    _validate_extension(af, e2, sigma, cap, "E2")
+    center_instance(af, e1, e2, sigma)
+    _validate_extension(af, e1, sigma, "E1")
+    _validate_extension(af, e2, sigma, "E2")
     # k = dist(E1, E2) <= n, so k - 1 witness variables never exceed n
     k = (e1.mask ^ e2.mask).bit_count()
     layers = [fo.center_body(sigma, k, require_nonempty)] if k >= 2 else []
@@ -561,20 +550,23 @@ def solve_instance(
             raise ValueError("branching engine handles only repair")
         return solve_repair_branching(af, instance.s, sigma, instance.k)
     if engine == "fo":
-        if kind is ProblemKind.SMALL:
-            return fo_solve_small(af, sigma, instance.k)
-        if kind is ProblemKind.REPAIR:
-            return fo_solve_repair(af, instance.s, sigma, instance.k)
+        small, repair = fo_solve_small, fo_solve_repair
         adjust, center = fo_solve_adjust, fo_solve_center
+        opts = {}
     else:
-        if kind is ProblemKind.SMALL:
-            return solve_small(af, sigma, instance.k, cap)
-        if kind is ProblemKind.REPAIR:
-            return solve_repair(af, instance.s, sigma, instance.k, cap)
+        small, repair = solve_small, solve_repair
         adjust, center = solve_adjust, solve_center
+        opts = {"cap": cap}
+    if kind is ProblemKind.SMALL:
+        return small(af, sigma, instance.k, **opts)
+    if kind is ProblemKind.REPAIR:
+        return repair(af, instance.s, sigma, instance.k, **opts)
     if kind is ProblemKind.ADJUST:
         return adjust(
-            af, instance.e0, instance.target, sigma, instance.k, cap,
-            require_nonempty,
+            af, instance.e0, instance.target, sigma, instance.k,
+            require_nonempty=require_nonempty, **opts,
         )
-    return center(af, instance.e1, instance.e2, sigma, cap, require_nonempty)
+    return center(
+        af, instance.e1, instance.e2, sigma, require_nonempty=require_nonempty,
+        **opts,
+    )

@@ -93,7 +93,8 @@ def test_criterion_1_semantics_inclusion_chain(announce):
     for trial in range(500):
         af = random_framework(rng, rng.randint(1, 8))
         masks = {
-            sigma: enumerate_extensions(af, sigma).masks() for sigma in Semantics
+            sigma: {e.mask for e in enumerate_extensions(af, sigma)}
+            for sigma in Semantics
         }
         chain = (
             masks[Semantics.STABLE]

@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from argudyn import parse_apx, write_apx
+from argudyn import ArgumentationFramework, FormulaTooDeep, parse_apx, write_apx
 from argudyn.bench import CSV_COLUMNS
 from argudyn.cli import run_cli
 
@@ -167,6 +168,47 @@ def test_usage_errors_exit_two(f1_path, capsys, tmp_path):
     assert run_cli(["check", "--af", str(bad), "--set", "a",
                     "--semantics", "stb"]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "problem, extra, option",
+    [
+        ("center", ["--e1", "a", "--e2", "a", "-k", "5"], "-k"),
+        ("small", ["-k", "1", "--set", "a"], "--set"),
+        ("small", ["-k", "1", "--e0", "a"], "--e0"),
+        ("repair", ["--set", "a", "-k", "1", "--target", "a"], "--target"),
+        ("adjust", ["--e0", "a", "--target", "b", "-k", "1", "--e1", "a"], "--e1"),
+        ("repair", ["--set", "a", "-k", "1", "--e2", "b"], "--e2"),
+    ],
+)
+def test_solve_refuses_an_option_its_problem_does_not_read(
+    f1_path, capsys, problem, extra, option
+):
+    argv = ["solve", problem, "--af", f1_path, "--semantics", "adm", *extra]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: solve {problem} does not take {option}\n"
+
+
+def test_a_deep_fo_formula_is_a_one_line_diagnostic(tmp_path, capsys):
+    # center from {} to all of 300 isolated arguments: at_most nests 300
+    # quantifiers, past the lowered recursion limit
+    names = [f"a{i}" for i in range(300)]
+    af = ArgumentationFramework(names, [])
+    path = tmp_path / "isolated.apx"
+    path.write_text(write_apx(af), encoding="utf-8")
+    argv = ["solve", "center", "--af", str(path), "--semantics", "adm",
+            "--e1", "", "--e2", ",".join(names), "--engine", "fo"]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        code = run_cli(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the fo engine raised FormulaTooDeep, not RecursionError
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {FormulaTooDeep()}\n"
 
 
 def test_a_file_that_is_not_utf8_is_named_in_the_diagnostic(tmp_path, capsys):

@@ -1,0 +1,113 @@
+"""A seeded parity corpus over every engine, pinned by one digest.
+
+Each case is a question on a small random framework (self-attacks
+included): the four problems under the five semantics, k <= 3, adjust and
+center both ways of require_nonempty, and prf/sem once more under a cap
+one below the argument count, which trips.  Each case runs on every engine
+that accepts its problem and semantics, and gives one canonical line:
+engine, answer, witness names, error class and the candidates and nodes
+counters.  The digest of those lines was recorded before the engines lost
+their own copies of the question checks, so any change to an answer, a
+witness, an error or a counter shows here.
+"""
+
+import hashlib
+import random
+
+from argudyn import (
+    ArgudynError,
+    Semantics,
+    adjust_instance,
+    center_instance,
+    repair_instance,
+    small_instance,
+    solve_instance,
+)
+from conftest import random_framework
+from oracles import oracle_extensions
+
+FRAMEWORKS = 150
+DIGEST = "ab9cafc09c65161a1b614e3175a33e086e755eae9141e1bfd5d7a0b150362728"
+
+
+def _near(rng, af, anchor, pool):
+    """A set within distance 1..3 of anchor: from pool when one is, else
+    anchor with 1..3 random flips."""
+    near = [m for m in pool if 1 <= (m ^ anchor).bit_count() <= 3]
+    if near and rng.random() < 0.7:
+        return af.set_from_mask(rng.choice(near))
+    mask = anchor
+    for i in rng.sample(range(af.n), min(af.n, rng.randint(1, 3))):
+        mask ^= 1 << i
+    return af.set_from_mask(mask)
+
+
+def _questions():
+    """(label, instance, caps, require_nonempty values) in a fixed order."""
+    rng = random.Random(2014)
+    for f in range(FRAMEWORKS):
+        af = random_framework(rng, rng.randint(1, 8))
+        for sigma in Semantics:
+            exts = oracle_extensions(af.arguments, af.attacks, sigma.value)
+            pool = sorted(af.mask_of(e) for e in exts)
+
+            def pick():
+                if pool and rng.random() < 0.7:
+                    return af.set_from_mask(rng.choice(pool))
+                return af.set_from_mask(rng.getrandbits(af.n))
+
+            label = f"{f}:{sigma.value}"
+            caps = (None, af.n - 1) if sigma.needs_maximality else (None,)
+            k = rng.randint(0, 3)
+            yield f"{label}:small:{k}", small_instance(af, sigma, k), caps, (False,)
+            k = rng.randint(0, 3)
+            s = pick()
+            yield (f"{label}:repair:{k}:{s}", repair_instance(af, s, sigma, k),
+                   caps, (False,))
+            k = rng.randint(0, 3)
+            e0 = pick()
+            target = rng.choice(af.arguments)
+            yield (f"{label}:adjust:{k}:{e0}:{target}",
+                   adjust_instance(af, e0, target, sigma, k), caps, (False, True))
+            e1 = pick()
+            e2 = _near(rng, af, e1.mask, pool)
+            yield (f"{label}:center:{e1}:{e2}", center_instance(af, e1, e2, sigma),
+                   caps, (False, True))
+
+
+def _engines(instance):
+    if instance.semantics.needs_maximality:
+        return ("delta",)
+    if instance.kind.value == "repair":
+        return ("delta", "branching", "fo")
+    return ("delta", "fo")
+
+
+def _line(label, instance, engine, cap, nonempty):
+    head = f"{label} cap={cap} nonempty={nonempty} {engine}"
+    try:
+        result = solve_instance(
+            instance, engine=engine, cap=cap, require_nonempty=nonempty
+        )
+    except ArgudynError as exc:
+        return f"{head} error {type(exc).__name__}"
+    witness = ",".join(result.witness.names) if result.answer else "-"
+    stats = result.stats
+    return f"{head} {result.answer} {{{witness}}} {stats.candidates} {stats.nodes}"
+
+
+def corpus_lines():
+    for label, instance, caps, nonempty in _questions():
+        for engine in _engines(instance):
+            for cap in caps if engine == "delta" else (None,):
+                for flag in nonempty:
+                    yield _line(label, instance, engine, cap, flag)
+
+
+def test_corpus_answers_witnesses_and_counters_are_unchanged():
+    digest = hashlib.sha256()
+    lines = 0
+    for line in corpus_lines():
+        digest.update(line.encode() + b"\n")
+        lines += 1
+    assert digest.hexdigest() == DIGEST, lines

@@ -19,7 +19,6 @@ from argudyn import enumeration
 from argudyn.core import iter_bits
 from argudyn.enumeration import (
     ENUM_CAP_ENV,
-    exists_admissible_superset,
     preferred_mask,
     resolve_cap,
     semistable_mask,
@@ -132,18 +131,6 @@ def test_delta_solve_reads_cap_setting_once(monkeypatch):
     assert not solve_adjust(chain, e0, "x1", Semantics.SEMI_STABLE, 2).answer
     assert solve_small(chain, Semantics.PREFERRED, 3).answer
     assert reads.count(ENUM_CAP_ENV) == 2
-
-
-def test_exists_admissible_superset_matches_brute():
-    rng = random.Random(7)
-    for _ in range(30):
-        af = random_framework(rng, rng.randint(1, 6))
-        attacks = set(af.attacks)
-        adm = oracle_extensions(af.arguments, attacks, "adm")
-        for s in af.all_subsets():
-            members = frozenset(s.names)
-            want = any(members <= e for e in adm)
-            assert exists_admissible_superset(af, s.mask) == want
 
 
 def test_maximality_checks_match_enumeration():

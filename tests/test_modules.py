@@ -24,6 +24,20 @@ def test_no_module_imports_a_private_name_from_another():
     assert private == []
 
 
+def test_no_module_reads_a_private_attribute_except_through_self():
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.endswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            ):
+                private.append(f"{path.name}:{node.lineno}: .{node.attr}")
+    assert private == []
+
+
 def _imported_names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):

@@ -486,6 +486,17 @@ def test_solve_instance_dispatch(f1):
             call()
 
 
+def test_fo_adjust_and_center_take_no_cap(f1):
+    a = f1.set_of(["a"])
+    sigma = Semantics.ADMISSIBLE
+    with pytest.raises(TypeError):
+        fo_solve_adjust(f1, a, "a", sigma, 1, None)
+    with pytest.raises(TypeError):
+        fo_solve_center(f1, a, f1.set_of(["b"]), sigma, None)
+    res = fo_solve_adjust(f1, a, "a", sigma, 2, require_nonempty=True)
+    assert res.witness.names == ("b",)
+
+
 def test_instance_parameter_and_validation(f1, f4):
     cen = center_instance(
         f4, f4.set_of(["a", "c"]), f4.set_of(["b", "d"]), Semantics.STABLE
