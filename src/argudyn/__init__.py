@@ -19,9 +19,7 @@ if TYPE_CHECKING:
         is_admissible, is_complete, is_conflict_free, is_stable, max_degree,
         range_of,
     )
-    from .enumeration import (
-        DEFAULT_ENUM_CAP, enumerate_extensions, is_preferred, is_semistable,
-    )
+    from .enumeration import DEFAULT_ENUM_CAP, is_preferred, is_semistable
     from .errors import (
         ArgudynError, CapExceeded, DuplicateArgument, FormulaTooDeep,
         InvalidArity, InvalidCap, IoError, NotAnExtension, NotThreeCnfTwo,
@@ -43,8 +41,9 @@ if TYPE_CHECKING:
         repair_instance, small_instance,
     )
     from .solvers import (
-        SolveResult, SolveStats, solve_adjust, solve_center, solve_instance,
-        solve_repair, solve_repair_branching, solve_small,
+        SolveResult, SolveStats, enumerate_extensions, solve_adjust,
+        solve_center, solve_instance, solve_repair, solve_repair_branching,
+        solve_small,
     )
 
 __version__ = "0.1.0"
@@ -56,8 +55,7 @@ _HOME = {
     for module, names in {
         "core": "ArgumentSet ArgumentationFramework Semantics distance "
         "is_admissible is_complete is_conflict_free is_stable max_degree range_of",
-        "enumeration": "DEFAULT_ENUM_CAP enumerate_extensions is_preferred "
-        "is_semistable",
+        "enumeration": "DEFAULT_ENUM_CAP is_preferred is_semistable",
         "errors": "ArgudynError CapExceeded DuplicateArgument FormulaTooDeep "
         "InvalidArity InvalidCap IoError NotAnExtension NotThreeCnfTwo OddK "
         "ParseError UnboundVariable UndeclaredArgument UnsupportedSemantics",
@@ -69,8 +67,9 @@ _HOME = {
         "random_three_cnf_two",
         "instances": "ProblemInstance ProblemKind adjust_instance "
         "center_instance repair_instance small_instance",
-        "solvers": "SolveResult SolveStats solve_adjust solve_center "
-        "solve_instance solve_repair solve_repair_branching solve_small",
+        "solvers": "SolveResult SolveStats enumerate_extensions solve_adjust "
+        "solve_center solve_instance solve_repair solve_repair_branching "
+        "solve_small",
     }.items()
     for name in names.split()
 }

@@ -28,9 +28,6 @@ from .errors import ArgudynError, IoError
 from .instances import ProblemInstance, repair_instance
 from .solvers import solve_instance
 
-SUITES = ("repair-degree-sweep", "repair-k-sweep")
-
-
 @dataclass
 class BenchRecord:
     instance_id: str
@@ -188,6 +185,17 @@ _SUITE_RUNNERS = {
     "repair-degree-sweep": _suite_degree_sweep,
     "repair-k-sweep": _suite_k_sweep,
 }
+SUITES = tuple(_SUITE_RUNNERS)
+
+
+def _cell(value: object) -> object:
+    """A record field as written to CSV: answers as yes/no, times to the
+    microsecond."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    return value
 
 
 def format_csv(records: list[BenchRecord]) -> str:
@@ -196,22 +204,7 @@ def format_csv(records: list[BenchRecord]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for record in records:
-        writer.writerow(
-            [
-                record.instance_id,
-                record.generator,
-                record.source,
-                record.kind,
-                record.semantics,
-                record.k,
-                record.n_args,
-                record.max_degree,
-                "yes" if record.answer else "no",
-                record.engine,
-                f"{record.wall_time_s:.6f}",
-                record.nodes,
-            ]
-        )
+        writer.writerow(_cell(getattr(record, name)) for name in CSV_COLUMNS)
     return buffer.getvalue()
 
 

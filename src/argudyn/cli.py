@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from .core import ArgumentationFramework, ArgumentSet, Semantics
-from .enumeration import enumerate_extensions
 from .errors import ArgudynError, IoError
 from .formats import load_cnf, load_framework, write_apx
 from .instances import (
@@ -25,26 +24,35 @@ from .instances import (
     repair_instance,
     small_instance,
 )
-from .solvers import ENGINES, SolveResult, sigma_member_mask, solve_instance
+from .solvers import (
+    ENGINES,
+    SolveResult,
+    enumerate_extensions,
+    sigma_member_mask,
+    solve_instance,
+)
 
 _SEMANTICS_CHOICES = tuple(s.value for s in Semantics)
 _GEN_KINDS = ("mcq", "adjust", "center", "cnf-small", "cnf-adjust", "cnf-center")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # each subcommand takes only the shared options it reads
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument(
         "--format",
         choices=("plain", "json"),
         default="plain",
         help="output format (default: plain)",
     )
-    common.add_argument(
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument(
         "--strict",
         action="store_true",
         help="exit 1 when the answer is NO",
     )
-    common.add_argument(
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument(
         "--enum-cap",
         type=int,
         default=None,
@@ -59,20 +67,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser(
-        "check", parents=[common], help="test one set for extension membership"
+        "check",
+        parents=[fmt, strict, cap],
+        help="test one set for extension membership",
     )
     p_check.add_argument("--af", required=True, help="framework file (.apx/.tgf)")
     p_check.add_argument("--set", required=True, help="comma-separated arguments")
     p_check.add_argument("--semantics", required=True, choices=_SEMANTICS_CHOICES)
 
     p_enum = sub.add_parser(
-        "enumerate", parents=[common], help="list all extensions"
+        "enumerate", parents=[fmt, cap], help="list all extensions"
     )
     p_enum.add_argument("--af", required=True)
     p_enum.add_argument("--semantics", required=True, choices=_SEMANTICS_CHOICES)
 
     p_solve = sub.add_parser(
-        "solve", parents=[common], help="decide one of the four problems"
+        "solve", parents=[fmt, strict, cap], help="decide one of the four problems"
     )
     p_solve.add_argument("problem", choices=("small", "repair", "adjust", "center"))
     p_solve.add_argument("--af", required=True)
@@ -91,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_gen = sub.add_parser(
-        "gen", parents=[common], help="emit a generated instance as APX + JSON"
+        "gen", parents=[fmt], help="emit a generated instance as APX + JSON"
     )
     p_gen.add_argument("what", choices=_GEN_KINDS)
     p_gen.add_argument("--out", required=True, help="APX output path")
@@ -110,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-k", type=int, default=None)
 
     p_bench = sub.add_parser(
-        "bench", parents=[common], help="run a benchmark suite to CSV"
+        "bench", parents=[fmt], help="run a benchmark suite to CSV"
     )
     # bench.run_bench rejects an unknown suite and names the known ones, so
     # the parser needs no copy of them and bench loads only for this command
@@ -200,6 +210,14 @@ def _solve_instance_from_args(args: argparse.Namespace) -> ProblemInstance:
             _require(given, f"solve {args.problem} requires {flag}")
         else:
             _require(not given, f"solve {args.problem} does not take {flag}")
+    _require(
+        not args.require_nonempty or args.problem in ("adjust", "center"),
+        f"solve {args.problem} does not take --require-nonempty",
+    )
+    _require(
+        args.enum_cap is None or args.engine == "delta",
+        f"solve {args.problem} does not take --enum-cap with --engine {args.engine}",
+    )
     if args.problem == "small":
         return small_instance(af, sigma, args.k)
     if args.problem == "repair":

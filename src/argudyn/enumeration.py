@@ -1,4 +1,4 @@
-"""Exhaustive extension enumeration and maximality-based membership checks."""
+"""The enumeration cap and the maximality-based membership checks (prf/sem)."""
 
 from __future__ import annotations
 
@@ -7,13 +7,9 @@ import os
 from .core import (
     ArgumentationFramework,
     ArgumentSet,
-    Semantics,
     adm_mask,
     attacked_mask,
-    com_mask,
     iter_bits,
-    mask_key,
-    stb_mask,
 )
 from .errors import CapExceeded, InvalidCap
 
@@ -43,47 +39,6 @@ def _gate(af: ArgumentationFramework, cap: int | None) -> None:
     limit = resolve_cap(cap)
     if af.n > limit:
         raise CapExceeded(af.n, limit)
-
-
-def _conflict_free_masks(af: ArgumentationFramework) -> list[int]:
-    """All conflict-free subsets, one argument index at a time.
-
-    Each set is followed by itself plus the next argument, when that stays
-    conflict-free: the order of a depth-first search that leaves each
-    argument out before taking it in."""
-    attackers = af.attackers
-    targets = af.targets
-    out = [0]
-    for i in range(af.n):
-        bit = 1 << i
-        if targets[i] & bit:
-            continue  # a self-attacker is in no conflict-free set
-        adj = attackers[i] | targets[i]
-        grown: list[int] = []
-        for mask in out:
-            grown.append(mask)
-            if not adj & mask:
-                grown.append(mask | bit)
-        out = grown
-    return out
-
-
-def enumerate_extensions(
-    af: ArgumentationFramework, sigma: Semantics, cap: int | None = None
-) -> tuple[ArgumentSet, ...]:
-    """All sigma-extensions of af in canonical (cardinality, lexicographic)
-    order: the conflict-free sets that pass sigma's membership check."""
-    cap = resolve_cap(cap)
-    _gate(af, cap)
-    member = {
-        Semantics.ADMISSIBLE: adm_mask,
-        Semantics.COMPLETE: com_mask,
-        Semantics.STABLE: stb_mask,
-        Semantics.PREFERRED: lambda af, m: preferred_mask(af, m, cap),
-        Semantics.SEMI_STABLE: lambda af, m: semistable_mask(af, m, cap),
-    }[sigma]
-    chosen = [m for m in _conflict_free_masks(af) if member(af, m)]
-    return tuple(ArgumentSet(af, m) for m in sorted(chosen, key=mask_key))
 
 
 # -- maximality searches ----------------------------------------------------

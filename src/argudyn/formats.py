@@ -250,16 +250,3 @@ def load_cnf(path: str | Path) -> ThreeCnfTwoFormula:
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return parse_dimacs_cnf(text)
-
-
-__all__ = [
-    "ThreeCnfTwoFormula",
-    "parse_apx",
-    "write_apx",
-    "parse_tgf",
-    "write_tgf",
-    "parse_dimacs_cnf",
-    "write_dimacs_cnf",
-    "load_framework",
-    "load_cnf",
-]

@@ -3,16 +3,18 @@
 Delta enumeration is the reference route: it walks candidate change sets in
 canonical order and returns the first witness at the smallest distance
 (ties broken by cardinality, then lexicographic argument order).  The
-branching route handles Repair for adm/com/stb by committing arguments in
-or out, one budget unit per commitment.  The first-order route scans the
-open bodies of the problem sentences that firstorder builds, one distance
-layer at a time, and returns the first model in product order.
+branching route handles Repair for adm/com/stb by flipping one argument per
+budget unit.  The first-order route scans the open bodies of the problem
+sentences that firstorder builds, one distance layer at a time, and returns
+the first model in product order.
 
 Adjust and Center accept the empty set as a witness by default; pass
 require_nonempty=True to restrict to nonempty witnesses (the reduction
 equivalence checks in the gadget tests use that mode).
 
 Each entry validates its question with its problem's instances constructor.
+enumerate_extensions lists a semantics' extensions through the same
+membership check, sigma_member_mask, that the engines use.
 """
 
 from __future__ import annotations
@@ -75,6 +77,43 @@ def sigma_member_mask(
     if sigma is Semantics.PREFERRED:
         return preferred_mask(af, mask, cap)
     return semistable_mask(af, mask, cap)
+
+
+def _conflict_free_masks(af: ArgumentationFramework) -> list[int]:
+    """All conflict-free subsets, one argument index at a time.
+
+    Each set is followed by itself plus the next argument, when that stays
+    conflict-free: the order of a depth-first search that leaves each
+    argument out before taking it in."""
+    attackers = af.attackers
+    targets = af.targets
+    out = [0]
+    for i in range(af.n):
+        bit = 1 << i
+        if targets[i] & bit:
+            continue  # a self-attacker is in no conflict-free set
+        adj = attackers[i] | targets[i]
+        grown: list[int] = []
+        for mask in out:
+            grown.append(mask)
+            if not adj & mask:
+                grown.append(mask | bit)
+        out = grown
+    return out
+
+
+def enumerate_extensions(
+    af: ArgumentationFramework, sigma: Semantics, cap: int | None = None
+) -> tuple[ArgumentSet, ...]:
+    """All sigma-extensions of af in canonical (cardinality, lexicographic)
+    order: the conflict-free sets that pass sigma_member_mask."""
+    cap = resolve_cap(cap)
+    if af.n > cap:
+        raise CapExceeded(af.n, cap)
+    chosen = [
+        m for m in _conflict_free_masks(af) if sigma_member_mask(af, m, sigma, cap)
+    ]
+    return tuple(ArgumentSet(af, m) for m in sorted(chosen, key=mask_key))
 
 
 def _result(
@@ -336,10 +375,10 @@ def _defects(
 
 def _moves(
     af: ArgumentationFramework, sigma: Semantics, e: int, defects: tuple[int, ...]
-) -> list[tuple[int, bool]] | None:
+) -> list[int] | None:
     """The first defect of e, the lowest argument of the first nonzero of its
-    defect masks, as its ordered repair moves (bit, adds): add the argument
-    of bit to e, or drop it.  None when e has no defect.
+    defect masks, as its ordered repair moves: each the bit of one argument
+    to flip in e.  None when e has no defect.
 
     The defects, checked in order: an attack inside e, an undefended member,
     an uncovered outsider (stb), a defended outsider (com), emptiness.
@@ -352,24 +391,25 @@ def _moves(
         i = clash & -clash
         hit = af.targets[i.bit_length() - 1] & e
         j = hit & -hit
-        return [(i, False)] if i == j else [(i, False), (j, False)]
+        return [i] if i == j else [i, j]
     if undefended:
         i = (undefended & -undefended).bit_length() - 1
-        # the lowest attacker of i that e leaves unattacked
+        # drop i, or add an attacker of the lowest attacker of i that e
+        # leaves unattacked
         z = next(z for z in iter_bits(attackers[i]) if not attackers[z] & e)
-        return [(1 << i, False)] + [(1 << w, True) for w in iter_bits(attackers[z])]
+        return [1 << i] + [1 << w for w in iter_bits(attackers[z])]
     if sigma is Semantics.STABLE and unattacked:
         z = (unattacked & -unattacked).bit_length() - 1
-        return [(1 << w, True) for w in iter_bits(attackers[z] | 1 << z)]
+        return [1 << w for w in iter_bits(attackers[z] | 1 << z)]
     if sigma is Semantics.COMPLETE and defended:
         # take z in, or drop a defender
         z = (defended & -defended).bit_length() - 1
         defenders = 0
         for a in iter_bits(attackers[z]):
             defenders |= attackers[a]
-        return [(1 << z, True)] + [(1 << d, False) for d in iter_bits(defenders & e)]
+        return [1 << z] + [1 << d for d in iter_bits(defenders & e)]
     if not e:
-        return [(1 << z, True) for z in range(af.n)]
+        return [1 << z for z in range(af.n)]
     return None
 
 
@@ -379,19 +419,20 @@ def solve_repair_branching(
     sigma: Semantics,
     k: int,
 ) -> SolveResult:
-    """Repair by depth-first commitment branching; adm/com/stb only.
+    """Repair by depth-first flip branching; adm/com/stb only.
 
-    Every branch commits one argument against its current side, costing one
-    unit of the distance budget, so the tree depth is at most k and the
-    width is bounded by the attack degrees (plus one linear emptiness
-    branch when the candidate goes empty).  A node (cin, cout, budget)
-    names the set S + cin - cout; the open nodes sit on an explicit stack,
-    children pushed in reverse so that they are visited in move order.
+    Every branch flips one argument, costing one unit of the distance
+    budget, so the tree depth is at most k and the width is bounded by the
+    attack degrees (plus one linear emptiness branch when the candidate goes
+    empty).  No argument flips twice, and none that attacks itself enters.
+    The open nodes sit on an explicit stack, children pushed in reverse so
+    that they are visited in move order.
 
     S's defects are found once.  Whether x is a defect depends only on the
     set at x, its attackers, its targets and its attackers' attackers, so a
-    node looks again only at its flips, their attackers, their targets and
-    their targets' targets.
+    stack entry holds its flips, its last flip and its parent's set,
+    attacked mask and defect masks, and the node looks again only at its
+    last flip, that flip's attackers, its targets and their targets.
     """
     if sigma.needs_maximality:
         raise UnsupportedSemantics(
@@ -403,39 +444,34 @@ def solve_repair_branching(
     attackers = af.attackers
     targets = af.targets
     anchor = s.mask
-    attacked0 = attacked_mask(af, anchor)
+    attacked = attacked_mask(af, anchor)
     # an attacked outsider has no defect, so the scan skips them
-    defects0 = _defects(af, anchor, attacked0, af.full_mask & (anchor | ~attacked0))
-    stack = [(0, 0, k)]
+    defects = _defects(af, anchor, attacked, af.full_mask & (anchor | ~attacked))
+    stack = [(0, 0, anchor, attacked, defects)]
     while stack:
-        cin, cout, budget = stack.pop()
+        flips, bit, e, attacked, defects = stack.pop()
         stats.nodes += 1
-        flips = cin | cout
-        e = anchor ^ flips
-        # only the flips' targets can change whether e attacks them
-        hit = region = 0
-        for f in iter_bits(flips):
-            hit |= targets[f]
-            region |= attackers[f]
-        attacked = attacked0 & ~hit
-        region |= flips | hit
-        for t in iter_bits(hit):
-            region |= targets[t]
-            if attackers[t] & e:
-                attacked |= 1 << t
-        moves = _moves(af, sigma, e, _defects(af, e, attacked, region, defects0))
+        if bit:
+            x = bit.bit_length() - 1
+            e ^= bit
+            # only the flip's targets can change whether e attacks them
+            hit = targets[x]
+            attacked &= ~hit
+            region = bit | attackers[x] | hit
+            for t in iter_bits(hit):
+                region |= targets[t]
+                if attackers[t] & e:
+                    attacked |= 1 << t
+            defects = _defects(af, e, attacked, region, defects)
+        moves = _moves(af, sigma, e, defects)
         if moves is None:
             if sigma_member_mask(af, e, sigma):
                 return _result(af, e, stats, start)
-        elif budget:
-            for bit, adds in reversed(moves):
-                # an argument is committed once, and one attacking itself
-                # never enters
-                if adds:
-                    if not (cout & bit or targets[bit.bit_length() - 1] & bit):
-                        stack.append((cin | bit, cout, budget - 1))
-                elif not cin & bit:
-                    stack.append((cin, cout | bit, budget - 1))
+        elif flips.bit_count() < k:
+            for bit in reversed(moves):
+                # never flip an argument twice, nor add one attacking itself
+                if not (flips & bit or targets[bit.bit_length() - 1] & bit & ~e):
+                    stack.append((flips | bit, bit, e, attacked, defects))
     return _result(af, None, stats, start)
 
 

@@ -118,6 +118,27 @@ def test_branching_depth_is_not_bounded_by_the_recursion_limit():
     assert res.stats.nodes == pairs + 1
 
 
+def test_a_node_rechecks_only_around_its_last_flip(monkeypatch):
+    # after the start set's pass, each _defects call looks at one flip, its
+    # partner and nothing else, however deep its node sits
+    pairs = 1050
+    names = [f"{side}{i}" for i in range(pairs) for side in "xy"]
+    attacks = [(f"x{i}", f"y{i}") for i in range(pairs)]
+    attacks += [(b, a) for a, b in attacks]
+    af = ArgumentationFramework(names, attacks)
+    regions = []
+    original = solvers._defects
+
+    def counting(af, e, attacked, region, *masks):
+        regions.append(region.bit_count())
+        return original(af, e, attacked, region, *masks)
+
+    monkeypatch.setattr(solvers, "_defects", counting)
+    res = solve_repair_branching(af, af.full_set(), Semantics.ADMISSIBLE, pairs)
+    assert res.stats.nodes == pairs + 1
+    assert sum(regions[1:]) <= 8 * res.stats.nodes, sum(regions[1:])
+
+
 def _planted_starts(rng, n, p, count):
     """count start sets, each the planted set with 1 to 3 arguments flipped."""
     for j in range(count):

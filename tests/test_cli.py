@@ -179,6 +179,13 @@ def test_usage_errors_exit_two(f1_path, capsys, tmp_path):
         ("repair", ["--set", "a", "-k", "1", "--target", "a"], "--target"),
         ("adjust", ["--e0", "a", "--target", "b", "-k", "1", "--e1", "a"], "--e1"),
         ("repair", ["--set", "a", "-k", "1", "--e2", "b"], "--e2"),
+        ("small", ["-k", "1", "--require-nonempty"], "--require-nonempty"),
+        ("repair", ["--set", "a", "-k", "1", "--require-nonempty"],
+         "--require-nonempty"),
+        ("repair", ["--set", "a", "-k", "1", "--engine", "branching",
+                    "--enum-cap", "0"], "--enum-cap with --engine branching"),
+        ("repair", ["--set", "a", "-k", "1", "--engine", "fo", "--enum-cap", "5"],
+         "--enum-cap with --engine fo"),
     ],
 )
 def test_solve_refuses_an_option_its_problem_does_not_read(
@@ -189,6 +196,27 @@ def test_solve_refuses_an_option_its_problem_does_not_read(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: solve {problem} does not take {option}\n"
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["gen", "mcq"], ["--strict"]),
+        (["gen", "mcq"], ["--enum-cap", "3"]),
+        (["enumerate", "--semantics", "adm"], ["--strict"]),
+        (["bench", "--suite", "repair-k-sweep"], ["--enum-cap", "3"]),
+    ],
+)
+def test_a_command_refuses_an_option_it_never_reads(
+    tmp_path, f1_path, capsys, command, option
+):
+    out = tmp_path / "out"
+    where = ["--out", str(out)] if command[0] in ("gen", "bench") else ["--af", f1_path]
+    assert run_cli([*command, *where, *option]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {' '.join(option)}" in captured.err
+    assert not out.exists()
 
 
 def test_a_deep_fo_formula_is_a_one_line_diagnostic(tmp_path, capsys):

@@ -16,6 +16,8 @@ import random
 
 from argudyn import (
     ArgudynError,
+    CapExceeded,
+    NotAnExtension,
     Semantics,
     adjust_instance,
     center_instance,
@@ -24,7 +26,13 @@ from argudyn import (
     solve_instance,
 )
 from conftest import random_framework
-from oracles import oracle_extensions
+from oracles import (
+    oracle_adjust,
+    oracle_center,
+    oracle_extensions,
+    oracle_repair,
+    oracle_small,
+)
 
 FRAMEWORKS = 150
 DIGEST = "ab9cafc09c65161a1b614e3175a33e086e755eae9141e1bfd5d7a0b150362728"
@@ -111,3 +119,48 @@ def test_corpus_answers_witnesses_and_counters_are_unchanged():
         digest.update(line.encode() + b"\n")
         lines += 1
     assert digest.hexdigest() == DIGEST, lines
+
+
+def _oracle(instance, nonempty):
+    """The oracle's witness list for instance, and the endpoints that an
+    engine checks are extensions."""
+    af = instance.framework
+    question = (af.arguments, af.attacks, instance.semantics.value)
+    kind = instance.kind.value
+    if kind == "small":
+        return oracle_small(*question, instance.k), ()
+    if kind == "repair":
+        return oracle_repair(*question, frozenset(instance.s.names), instance.k), ()
+    if kind == "adjust":
+        e0 = instance.e0
+        return oracle_adjust(*question, frozenset(e0.names), instance.target,
+                             instance.k, nonempty), (e0,)
+    e1, e2 = instance.e1, instance.e2
+    return oracle_center(*question, frozenset(e1.names), frozenset(e2.names),
+                         nonempty), (e1, e2)
+
+
+def test_corpus_answers_match_the_oracles():
+    for label, instance, caps, nonempty in _questions():
+        af = instance.framework
+        exts = oracle_extensions(af.arguments, af.attacks, instance.semantics.value)
+        for flag in nonempty:
+            expected, endpoints = _oracle(instance, flag)
+            bad = [e for e in endpoints if frozenset(e.names) not in exts]
+            for engine in _engines(instance):
+                for cap in caps if engine == "delta" else (None,):
+                    where = (label, engine, cap, flag)
+                    try:
+                        result = solve_instance(
+                            instance, engine=engine, cap=cap, require_nonempty=flag
+                        )
+                    except CapExceeded:
+                        assert cap is not None and cap < af.n, where
+                        continue
+                    except NotAnExtension:
+                        assert bad, where
+                        continue
+                    assert not bad, where
+                    assert result.answer == bool(expected), where
+                    if result.answer:
+                        assert frozenset(result.witness.names) in expected, where
