@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .core import ArgumentationFramework, ArgumentSet, Semantics
+from .enumeration import resolve_cap
 from .errors import ArgudynError, IoError
 from .formats import load_cnf, load_framework, write_apx
 from .instances import (
@@ -171,6 +172,8 @@ def _require(condition: bool, message: str) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     af = load_framework(args.af)
     sigma = Semantics.parse(args.semantics)
+    if args.enum_cap is not None:
+        resolve_cap(args.enum_cap)
     member = bool(
         sigma_member_mask(af, _set_of(af, args.set).mask, sigma, args.enum_cap)
     )

@@ -43,43 +43,39 @@ def _gate(af: ArgumentationFramework, cap: int | None) -> None:
 
 # -- maximality searches ----------------------------------------------------
 #
-# Membership in prf/sem needs a co-NP style check: no admissible superset /
-# no admissible set with strictly larger range.  Both are decided by a
-# backtracking search that grows a candidate set.  Each open set carries its
-# threat: the attackers of its members that it does not attack yet.  The
-# search branches on the defenders against the lowest argument of the threat
-# (some member of any admissible superset must attack it), and once the
-# threat is empty on the covers of an uncovered target.  So a step costs a
-# few mask operations, not a scan of the set (the per-set bookkeeping of
-# labelling-based backtracking: Nofal, Atkinson & Dunne, AIJ 2014).  A prf
-# check runs the search from each outsider added to S, all with one failed
-# memo; a sem check runs it once, for a set whose range holds S's range and
-# more.  The search is exponential in the worst case, hence the same cap gate
-# as the enumerator, but it follows the attack structure so it stays shallow
-# on the generated hardness instances.  The delta walk calls these checks
-# last in a prf/sem layer: on its admissible candidates in canonical order,
-# until one passes.
+# Membership in prf/sem is a co-NP style question: is there an admissible set
+# whose range reaches past S's range?  For prf it must hold S (a strict
+# superset of S is conflict-free, so its range meets what S's range misses);
+# for sem it may be any set.  So each check is one backtracking search, from
+# S for prf and from the empty set for sem, with its own failed memo.  Each
+# open set carries its threat: the attackers of its members that it does not
+# attack yet.  The search branches on the defenders against the lowest
+# argument of the threat (some member of any admissible superset must attack
+# it), once the threat is empty on the covers of an uncovered argument of S's
+# range, and then on a way past that range.  So a step costs a few mask
+# operations, not a scan of the set (the per-set bookkeeping of
+# labelling-based backtracking: Nofal, Atkinson & Dunne, AIJ 2014).  The
+# search is exponential in the worst case, hence the same cap gate as the
+# enumerator, but it follows the attack structure so it stays shallow on the
+# generated hardness instances.  The delta walk calls these checks last in a
+# prf/sem layer: on its admissible candidates in canonical order, until one
+# passes.
 
 
-def _grow_admissible(
-    af: ArgumentationFramework,
-    current: int,
-    hit: int,
-    cover: int,
-    failed: set[int],
-    reach: int = 0,
+def _larger_admissible(
+    af: ArgumentationFramework, start: int, hit: int, cover: int
 ) -> bool:
-    """True iff some admissible superset of current covers all of cover and,
-    when reach is nonzero, has some argument of reach in its range.
+    """True iff some admissible superset of start has a range that holds
+    cover and at least one argument outside it.
 
-    current must be conflict-free, and hit is the mask of what it attacks.
-    cover is a mask of arguments that must be in the final set or attacked
-    by it.  The depth-first search keeps each open set, what it attacks, its
-    threat and the arguments it has still to try on an explicit stack, and
-    adds to failed every set whose tries all failed; that depends only on
-    the set, cover and reach, so searches with the same cover and reach can
-    share it.
+    start must be admissible, and hit is the mask of what it attacks.  The
+    depth-first search keeps each open set, what it attacks, its threat and
+    the arguments it has still to try on an explicit stack, and memoizes
+    every set whose tries all failed.
     """
+    reach = af.full_mask & ~cover
+    if not reach:
+        return False
     attackers = af.attackers
     targets = af.targets
     # any set whose range meets reach holds an argument of reach or one of
@@ -87,17 +83,15 @@ def _grow_admissible(
     reach_options = 0
     for z in iter_bits(reach):
         reach_options |= attackers[z] | 1 << z
-    threat = 0
-    for i in iter_bits(current):
-        threat |= attackers[i]
-    threat &= ~hit
+    failed: set[int] = set()
     stack: list[list[int]] = []
-    node = current
+    node = start
+    threat = 0
     while True:
         if node not in failed:
             # try the defenders against the lowest threat, in canonical
-            # order, else the first uncovered target and its attackers, else
-            # a way into the range of reach
+            # order, else the first uncovered argument and its attackers,
+            # else a way into the range of reach
             if threat:
                 options = attackers[(threat & -threat).bit_length() - 1]
             else:
@@ -106,7 +100,7 @@ def _grow_admissible(
                 if uncovered:
                     u = (uncovered & -uncovered).bit_length() - 1
                     options = attackers[u] | (1 << u)
-                elif not reach or covered & reach:
+                elif covered & reach:
                     return True
                 else:
                     options = reach_options
@@ -141,17 +135,8 @@ def preferred_mask(
     _gate(af, cap)
     if not adm_mask(af, mask):
         return False
-    targets = af.targets
     hit = attacked_mask(af, mask)
-    failed: set[int] = set()
-    # an outsider that mask attacks can never join it
-    for y in iter_bits(af.full_mask & ~(mask | hit)):
-        seed = mask | 1 << y
-        if not targets[y] & seed and _grow_admissible(
-            af, seed, hit | targets[y], 0, failed
-        ):
-            return False
-    return True
+    return not _larger_admissible(af, mask, hit, mask | hit)
 
 
 def semistable_mask(
@@ -160,11 +145,7 @@ def semistable_mask(
     _gate(af, cap)
     if not adm_mask(af, mask):
         return False
-    rng = mask | attacked_mask(af, mask)
-    if rng == af.full_mask:
-        return True
-    # an admissible set whose range holds rng and more
-    return not _grow_admissible(af, 0, 0, rng, set(), af.full_mask & ~rng)
+    return not _larger_admissible(af, 0, 0, mask | attacked_mask(af, mask))
 
 
 def is_preferred(

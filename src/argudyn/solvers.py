@@ -132,8 +132,9 @@ def _result(
 
 
 def _solve_cap(sigma: Semantics, cap: int | None) -> int | None:
-    """The cap a prf/sem solve uses, read once; other semantics ignore it."""
-    if sigma.needs_maximality:
+    """The cap a prf/sem solve uses, read once.  Other semantics ignore it,
+    but an explicit cap is still validated."""
+    if cap is not None or sigma.needs_maximality:
         return resolve_cap(cap)
     return cap
 
@@ -575,9 +576,13 @@ def solve_instance(
     cap: int | None = None,
     require_nonempty: bool = False,
 ) -> SolveResult:
-    """Route an instance to the requested engine."""
+    """Route an instance to the requested engine.  Only delta takes a cap;
+    small and repair accept require_nonempty, as their witnesses are never
+    empty."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
+    if cap is not None and engine != "delta":
+        raise ValueError(f"the {engine} engine takes no cap")
     af = instance.framework
     sigma = instance.semantics
     kind = instance.kind

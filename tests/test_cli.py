@@ -279,6 +279,18 @@ def test_enum_cap_flag(tmp_path, capsys):
     assert "-5" in err and "override" not in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "repair", "--set", "a", "-k", "1"], ["check", "--set", "a"]],
+)
+def test_a_negative_cap_is_refused_under_every_semantics(f1_path, capsys, command):
+    argv = [*command, "--af", f1_path, "--semantics", "adm", "--enum-cap", "-5"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration cap -5 is not a nonnegative integer\n"
+
+
 def test_enumerate_many_self_attackers(tmp_path, capsys):
     path = tmp_path / "loops.apx"
     path.write_text(

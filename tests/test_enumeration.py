@@ -13,6 +13,7 @@ from argudyn import (
     is_preferred,
     is_semistable,
     solve_adjust,
+    solve_repair,
     solve_small,
 )
 from argudyn import enumeration
@@ -115,6 +116,8 @@ def test_invalid_cap_setting_raises_typed_error(monkeypatch, setting):
         resolve_cap(-5)
     with pytest.raises(InvalidCap, match="-5"):
         solve_small(chain, Semantics.PREFERRED, 1, cap=-5)
+    with pytest.raises(InvalidCap, match="-5"):
+        solve_repair(chain, chain.set_of(["x0"]), Semantics.ADMISSIBLE, 1, cap=-5)
 
 
 def test_delta_solve_reads_cap_setting_once(monkeypatch):
@@ -204,21 +207,41 @@ def test_maximality_search_on_a_long_chain():
     assert not preferred_mask(chain, chain.mask_of(["a3000"]), cap=5000)
 
 
+def _count_search_steps(monkeypatch) -> list[int]:
+    steps = [0]
+
+    def counted(mask):
+        for i in iter_bits(mask):
+            steps[0] += 1
+            yield i
+
+    monkeypatch.setattr(enumeration, "iter_bits", counted)
+    return steps
+
+
 def test_maximality_search_steps_are_linear_on_a_long_chain(monkeypatch):
-    # the search from {a3000, a0} adds a2, a4, ..., a2998; a step must not
+    # the search from {a3000} adds a0, a2, a4, ..., a2998; a step must not
     # scan the members of the growing set
     names = tuple(f"a{i}" for i in range(3001))
     chain = ArgumentationFramework(
         names, [(names[i + 1], names[i]) for i in range(3000)]
     )
-    steps = 0
-
-    def counted(mask):
-        nonlocal steps
-        for i in iter_bits(mask):
-            steps += 1
-            yield i
-
-    monkeypatch.setattr(enumeration, "iter_bits", counted)
+    steps = _count_search_steps(monkeypatch)
     assert not preferred_mask(chain, chain.mask_of(["a3000"]), cap=5000)
-    assert steps <= 4 * chain.n
+    assert steps[0] <= 4 * chain.n
+
+
+def test_a_maximality_check_is_one_search(monkeypatch):
+    # S is 500 isolated arguments; each of the 500 outsiders b_i is attacked
+    # by a self-attacker z_i, so no admissible set reaches past S's range.
+    # One search from S tries each outsider once: no restart per outsider.
+    names = [f"{p}{i}" for p in "abz" for i in range(500)]
+    attacks = [(f"z{i}", t) for i in range(500) for t in (f"z{i}", f"b{i}")]
+    af = ArgumentationFramework(names, attacks)
+    s = af.mask_of(f"a{i}" for i in range(500))
+    steps = _count_search_steps(monkeypatch)
+    assert preferred_mask(af, s, cap=af.n)
+    assert steps[0] <= 4 * af.n
+    steps[0] = 0
+    assert semistable_mask(af, s, cap=af.n)
+    assert steps[0] <= 4 * af.n

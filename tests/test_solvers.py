@@ -19,7 +19,7 @@ from argudyn import (
     repair_instance,
     small_instance,
 )
-from argudyn import solvers
+from argudyn import enumeration, solvers
 from argudyn.firstorder import (
     adjust_formula,
     center_formula,
@@ -469,6 +469,13 @@ def test_solve_instance_dispatch(f1):
         for engine in ("delta", "fo"):
             res = solve_instance(inst, engine=engine, require_nonempty=True)
             assert (res.witness.names if res.answer else None) == want
+    # small and repair witnesses are never empty, so the flag changes nothing
+    for inst in (small_instance(two, Semantics.ADMISSIBLE, 1),
+                 repair_instance(two, two.empty_set(), Semantics.ADMISSIBLE, 1)):
+        for engine in ("delta", "fo"):
+            plain = solve_instance(inst, engine=engine)
+            flagged = solve_instance(inst, engine=engine, require_nonempty=True)
+            assert plain.answer and flagged.witness == plain.witness
     # every engine rejects a negative budget
     ab = ArgumentationFramework(("a", "b"), [("a", "b")])
     a = ab.set_of(["a"])
@@ -484,6 +491,59 @@ def test_solve_instance_dispatch(f1):
     ):
         with pytest.raises(ValueError, match="k must be nonnegative"):
             call()
+
+
+@pytest.mark.parametrize("engine", ["branching", "fo"])
+def test_only_the_delta_engine_takes_a_cap(f1, engine):
+    rep = repair_instance(f1, f1.set_of(["a"]), Semantics.ADMISSIBLE, 1)
+    with pytest.raises(ValueError, match=f"the {engine} engine takes no cap"):
+        solve_instance(rep, engine=engine, cap=-3)
+    assert solve_instance(rep, engine=engine).answer
+
+
+def test_dispatch_calls_the_solvers_module_attributes(monkeypatch, f1):
+    # perfbench/tracing.py counts engine runs, membership checks and
+    # maximality searches by wrapping these attributes; a dispatch table
+    # bound at import would bypass its wrappers
+    engines = (
+        "solve_small", "solve_repair", "solve_adjust", "solve_center",
+        "solve_repair_branching", "fo_solve_small", "fo_solve_repair",
+        "fo_solve_adjust", "fo_solve_center",
+    )
+    members = ("adm_mask", "com_mask", "stb_mask", "preferred_mask",
+               "semistable_mask")
+    reached = set()
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            reached.add(f"{module.__name__}.{name}")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in engines + members:
+        spy(solvers, name)
+    spy(enumeration, "adm_mask")
+    a = f1.set_of(["a"])
+    sigma = Semantics.ADMISSIBLE
+    rep = repair_instance(f1, a, sigma, 1)
+    for engine in ("delta", "fo"):
+        for inst in (
+            small_instance(f1, sigma, 1),
+            rep,
+            adjust_instance(f1, a, "a", sigma, 1),
+            center_instance(f1, a, f1.set_of(["b"]), sigma),
+        ):
+            solve_instance(inst, engine=engine)
+    solve_instance(rep, engine="branching")
+    for member_sigma in Semantics:
+        solvers.sigma_member_mask(f1, a.mask, member_sigma)
+    assert reached == {
+        *(f"argudyn.solvers.{name}" for name in engines + members),
+        "argudyn.enumeration.adm_mask",
+    }
 
 
 def test_fo_adjust_and_center_take_no_cap(f1):
