@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 from .core import (
     ArgumentationFramework,
     ArgumentSet,
@@ -14,25 +12,15 @@ from .core import (
 from .errors import CapExceeded, InvalidCap
 
 DEFAULT_ENUM_CAP = 20
-ENUM_CAP_ENV = "ARGUDYN_ENUM_CAP"
 
 
 def resolve_cap(cap: int | None) -> int:
-    """Explicit cap, else the ARGUDYN_ENUM_CAP env var, else the default."""
-    if cap is not None:
-        if cap < 0:
-            raise InvalidCap(f"enumeration cap {cap!r} is not a nonnegative integer")
-        return cap
-    env = os.environ.get(ENUM_CAP_ENV)
-    if env is None:
+    """The explicit cap, which must be nonnegative, else the default."""
+    if cap is None:
         return DEFAULT_ENUM_CAP
-    try:
-        value = int(env)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise InvalidCap(f"{ENUM_CAP_ENV}={env!r} is not a nonnegative integer")
-    return value
+    if cap < 0:
+        raise InvalidCap(f"enumeration cap {cap!r} is not a nonnegative integer")
+    return cap
 
 
 def _gate(af: ArgumentationFramework, cap: int | None) -> None:

@@ -180,7 +180,6 @@ def gen_mcq_small(
     A size-k extension exists, under any of the five semantics, exactly
     when the graph has a multicolored k-clique.
     """
-    sigma = Semantics.parse(sigma)
     if g.k < 2:
         raise ValueError("need at least 2 parts")
     k = g.k
@@ -231,7 +230,6 @@ def gen_adjust_from_small(
     and can drift for sem when the base has no stable extension (the
     hub makes {t} stable, which collapses sem to stb on the output).
     """
-    sigma = Semantics.parse(sigma)
     if k < 0:
         raise ValueError("k must be nonnegative")
     taken = set(af.arguments)
@@ -265,7 +263,6 @@ def gen_center_from_small(
     under each of the five semantics.  The same equivalence caveats as
     gen_adjust_from_small apply for adm, com, and sem.
     """
-    sigma = Semantics.parse(sigma)
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k % 2 == 1:

@@ -47,7 +47,7 @@ def small_instance(
 ) -> ProblemInstance:
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return ProblemInstance(ProblemKind.SMALL, af, sigma, k=k)
+    return ProblemInstance(ProblemKind.SMALL, af, Semantics.parse(sigma), k=k)
 
 
 def repair_instance(
@@ -57,6 +57,7 @@ def repair_instance(
         raise ValueError("k must be nonnegative")
     if s.af != af:
         raise ValueError("start set does not belong to the framework")
+    sigma = Semantics.parse(sigma)
     return ProblemInstance(ProblemKind.REPAIR, af, sigma, k=k, s=s)
 
 
@@ -72,6 +73,7 @@ def adjust_instance(
     if e0.af != af:
         raise ValueError("start extension does not belong to the framework")
     af.index_of(target)
+    sigma = Semantics.parse(sigma)
     return ProblemInstance(ProblemKind.ADJUST, af, sigma, k=k, e0=e0, target=target)
 
 
@@ -83,4 +85,5 @@ def center_instance(
 ) -> ProblemInstance:
     if e1.af != af or e2.af != af:
         raise ValueError("endpoint sets do not belong to the framework")
+    sigma = Semantics.parse(sigma)
     return ProblemInstance(ProblemKind.CENTER, af, sigma, e1=e1, e2=e2)

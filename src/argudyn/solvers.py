@@ -68,6 +68,8 @@ def sigma_member_mask(
     af: ArgumentationFramework, mask: int, sigma: Semantics, cap: int | None = None
 ) -> bool:
     """Membership of a set (as mask) in sigma(af)."""
+    sigma = Semantics.parse(sigma)
+    cap = resolve_cap(cap)
     if sigma is Semantics.ADMISSIBLE:
         return adm_mask(af, mask)
     if sigma is Semantics.COMPLETE:
@@ -129,14 +131,6 @@ def _result(
 
 
 # -- delta enumeration --------------------------------------------------------
-
-
-def _solve_cap(sigma: Semantics, cap: int | None) -> int | None:
-    """The cap a prf/sem solve uses, read once.  Other semantics ignore it,
-    but an explicit cap is still validated."""
-    if cap is not None or sigma.needs_maximality:
-        return resolve_cap(cap)
-    return cap
 
 
 def _additions(
@@ -227,7 +221,7 @@ def _walk(
     """
     start = time.perf_counter()
     stats = SolveStats()
-    cap = _solve_cap(sigma, cap)
+    cap = resolve_cap(cap)
     # the anchor's bits, read once: shifting a large anchor once per argument
     # would cost O(n) each time
     bits = f"{anchor:0{af.n}b}"[::-1]
@@ -271,7 +265,7 @@ def solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int, cap: int | None = None
 ) -> SolveResult:
     """Is there a nonempty sigma-extension with at most k members?"""
-    small_instance(af, sigma, k)
+    sigma = small_instance(af, sigma, k).semantics
     return _walk(af, sigma, cap, 0, 1, k, range(af.n))
 
 
@@ -283,7 +277,7 @@ def solve_repair(
     cap: int | None = None,
 ) -> SolveResult:
     """Is there a nonempty sigma-extension within distance k of S?"""
-    repair_instance(af, s, sigma, k)
+    sigma = repair_instance(af, s, sigma, k).semantics
     return _walk(af, sigma, cap, s.mask, 0, k, range(af.n))
 
 
@@ -308,9 +302,8 @@ def solve_adjust(
     require_nonempty: bool = False,
 ) -> SolveResult:
     """Is there a sigma-extension within distance k of E0 that flips target?"""
-    adjust_instance(af, e0, target, sigma, k)
+    sigma = adjust_instance(af, e0, target, sigma, k).semantics
     t = af.index_of(target)
-    cap = _solve_cap(sigma, cap)
     _validate_extension(af, e0, sigma, "E0", cap)
     others = [i for i in range(af.n) if i != t]
     return _walk(
@@ -333,8 +326,7 @@ def solve_center(
     around E1; a delta with a members inside E1^E2 and b outside satisfies
     the E2-side bound exactly when b <= a-1, so only those are walked.
     """
-    center_instance(af, e1, e2, sigma)
-    cap = _solve_cap(sigma, cap)
+    sigma = center_instance(af, e1, e2, sigma).semantics
     _validate_extension(af, e1, sigma, "E1", cap)
     _validate_extension(af, e2, sigma, "E2", cap)
     diff = e1.mask ^ e2.mask
@@ -435,11 +427,11 @@ def solve_repair_branching(
     attacked mask and defect masks, and the node looks again only at its
     last flip, that flip's attackers, its targets and their targets.
     """
+    sigma = repair_instance(af, s, sigma, k).semantics
     if sigma.needs_maximality:
         raise UnsupportedSemantics(
             f"branching route supports adm, com, stb; got {sigma.value}"
         )
-    repair_instance(af, s, sigma, k)
     start = time.perf_counter()
     stats = SolveStats()
     attackers = af.attackers
@@ -516,8 +508,8 @@ def _fo_scan(af: ArgumentationFramework, anchor: int, layers, **unary) -> SolveR
 def fo_solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int
 ) -> SolveResult:
+    sigma = small_instance(af, sigma, k).semantics
     fo = _firstorder(sigma)
-    small_instance(af, sigma, k)
     layers = [fo.small_body(sigma, min(k, af.n))] if k >= 1 and af.n else []
     return _fo_scan(af, 0, layers)
 
@@ -526,8 +518,8 @@ def fo_solve_repair(
     af: ArgumentationFramework, s: ArgumentSet, sigma: Semantics, k: int
 ) -> SolveResult:
     """Repair via the corrected sentence: distance-l disjuncts, l = 0..k."""
+    sigma = repair_instance(af, s, sigma, k).semantics
     fo = _firstorder(sigma)
-    repair_instance(af, s, sigma, k)
     widths = range(min(k, af.n) + 1) if af.n else ()
     layers = (fo.repair_body(sigma, l, require_nonempty=True) for l in widths)
     return _fo_scan(af, s.mask, layers, S=s)
@@ -542,8 +534,8 @@ def fo_solve_adjust(
     *,
     require_nonempty: bool = False,
 ) -> SolveResult:
+    sigma = adjust_instance(af, e0, target, sigma, k).semantics
     fo = _firstorder(sigma)
-    adjust_instance(af, e0, target, sigma, k)
     _validate_extension(af, e0, sigma, "E0")
     layers = [fo.adjust_body(sigma, min(k, af.n), require_nonempty)] if k >= 1 else []
     return _fo_scan(af, e0.mask, layers, E0=e0, T=(target,))
@@ -557,8 +549,8 @@ def fo_solve_center(
     *,
     require_nonempty: bool = False,
 ) -> SolveResult:
+    sigma = center_instance(af, e1, e2, sigma).semantics
     fo = _firstorder(sigma)
-    center_instance(af, e1, e2, sigma)
     _validate_extension(af, e1, sigma, "E1")
     _validate_extension(af, e2, sigma, "E2")
     # k = dist(E1, E2) <= n, so k - 1 witness variables never exceed n

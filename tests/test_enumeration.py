@@ -1,4 +1,3 @@
-import os
 import random
 
 import pytest
@@ -12,18 +11,13 @@ from argudyn import (
     enumerate_extensions,
     is_preferred,
     is_semistable,
-    solve_adjust,
     solve_repair,
     solve_small,
 )
 from argudyn import enumeration
 from argudyn.core import iter_bits
-from argudyn.enumeration import (
-    ENUM_CAP_ENV,
-    preferred_mask,
-    resolve_cap,
-    semistable_mask,
-)
+from argudyn.enumeration import preferred_mask, resolve_cap, semistable_mask
+from argudyn.solvers import sigma_member_mask
 from conftest import random_framework
 from oracles import oracle_admissible, oracle_extensions
 
@@ -77,7 +71,7 @@ def _chain(n):
     )
 
 
-def test_cap_blocks_large_frameworks(monkeypatch):
+def test_cap_blocks_large_frameworks():
     big = _chain(21)
     with pytest.raises(CapExceeded) as err:
         enumerate_extensions(big, Semantics.ADMISSIBLE)
@@ -87,31 +81,17 @@ def test_cap_blocks_large_frameworks(monkeypatch):
     # explicit cap overrides; the chain's one stable extension is the evens
     stb = list(enumerate_extensions(big, Semantics.STABLE, cap=25))
     assert [e.names for e in stb] == [tuple(f"x{i}" for i in range(0, 21, 2))]
-    # env var overrides the default
-    monkeypatch.setenv(ENUM_CAP_ENV, "25")
-    assert resolve_cap(None) == 25
-    assert len(enumerate_extensions(big, Semantics.STABLE)) == 1
-    # explicit cap beats env
-    monkeypatch.setenv(ENUM_CAP_ENV, "10")
-    with pytest.raises(CapExceeded):
-        enumerate_extensions(big, Semantics.STABLE)
     assert len(enumerate_extensions(big, Semantics.STABLE, cap=30)) == 1
-    monkeypatch.setenv(ENUM_CAP_ENV, "junk")
-    with pytest.raises(ValueError):
-        resolve_cap(None)
 
 
 @pytest.mark.parametrize("setting", ["junk", "-1"])
 def test_invalid_cap_setting_raises_typed_error(monkeypatch, setting):
+    monkeypatch.setenv("ARGUDYN_ENUM_CAP", setting)
     chain = _chain(3)
-    monkeypatch.setenv(ENUM_CAP_ENV, setting)
-    with pytest.raises(InvalidCap, match=ENUM_CAP_ENV):
-        resolve_cap(None)
-    with pytest.raises(InvalidCap, match=ENUM_CAP_ENV):
-        solve_small(chain, Semantics.PREFERRED, 1)
-    # semantics without a maximality check never read the setting
-    assert solve_small(chain, Semantics.ADMISSIBLE, 1).answer
-    # an explicit cap is checked too, and named
+    # an invalid environment setting is not read
+    assert resolve_cap(None) == DEFAULT_ENUM_CAP
+    assert solve_small(chain, Semantics.PREFERRED, 2).answer
+    # a negative cap is refused, and named
     with pytest.raises(InvalidCap, match="-5"):
         resolve_cap(-5)
     with pytest.raises(InvalidCap, match="-5"):
@@ -120,20 +100,30 @@ def test_invalid_cap_setting_raises_typed_error(monkeypatch, setting):
         solve_repair(chain, chain.set_of(["x0"]), Semantics.ADMISSIBLE, 1, cap=-5)
 
 
-def test_delta_solve_reads_cap_setting_once(monkeypatch):
-    reads = []
+@pytest.mark.parametrize(
+    "sigma", [Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.STABLE]
+)
+def test_a_membership_check_refuses_a_negative_cap(sigma):
+    chain = _chain(2)
+    with pytest.raises(InvalidCap, match="-5"):
+        sigma_member_mask(chain, chain.mask_of(["x0"]), sigma, -5)
 
-    class Environ(dict):
-        def get(self, key, default=None):
-            reads.append(key)
-            return super().get(key, default)
 
-    monkeypatch.setattr(os, "environ", Environ(os.environ, **{ENUM_CAP_ENV: "25"}))
-    chain = _chain(5)
-    e0 = chain.set_of(["x0", "x2", "x4"])
-    assert not solve_adjust(chain, e0, "x1", Semantics.SEMI_STABLE, 2).answer
-    assert solve_small(chain, Semantics.PREFERRED, 3).answer
-    assert reads.count(ENUM_CAP_ENV) == 2
+@pytest.mark.parametrize("setting", ["1", "junk"])
+def test_the_library_ignores_the_environment(monkeypatch, setting):
+    monkeypatch.setenv("ARGUDYN_ENUM_CAP", setting)
+    chain = _chain(3)
+    for sigma in (Semantics.ADMISSIBLE, Semantics.PREFERRED):
+        assert ("x0", "x2") in [e.names for e in enumerate_extensions(chain, sigma)]
+        assert solve_small(chain, sigma, 2).answer
+        assert solve_repair(chain, chain.set_of(["x1"]), sigma, 3).answer
+    # a cap is exceeded only against the default or the one passed
+    with pytest.raises(CapExceeded) as err:
+        enumerate_extensions(_chain(21), Semantics.PREFERRED)
+    assert err.value.cap == DEFAULT_ENUM_CAP
+    with pytest.raises(CapExceeded) as err:
+        solve_small(chain, Semantics.PREFERRED, 1, cap=2)
+    assert err.value.cap == 2
 
 
 def test_maximality_checks_match_enumeration():

@@ -577,3 +577,44 @@ def test_stats_are_populated(f1):
     assert res.stats.seconds >= 0.0
     b = solve_repair_branching(f1, f1.set_of(["a"]), Semantics.ADMISSIBLE, 1)
     assert b.stats.nodes >= 1
+
+
+def _pair_beside_a_self_attacker():
+    """a and b attack each other; c attacks itself."""
+    return ArgumentationFramework(
+        ("a", "b", "c"), [("a", "b"), ("b", "a"), ("c", "c")]
+    )
+
+
+@pytest.mark.parametrize("sigma", [Semantics.ADMISSIBLE, Semantics.STABLE])
+def test_a_semantics_name_acts_as_its_member(sigma):
+    af = _pair_beside_a_self_attacker()
+    a = af.set_of(["a"])
+
+    def answers(sigma):
+        results = (
+            solve_small(af, sigma, 1),
+            solve_repair_branching(af, a, sigma, 1),
+            fo_solve_small(af, sigma, 1),
+        )
+        return (
+            [e.names for e in enumerate_extensions(af, sigma)],
+            [(r.answer, r.witness and r.witness.names) for r in results],
+            [solvers.sigma_member_mask(af, m, sigma) for m in range(1 << af.n)],
+        )
+
+    assert answers(sigma.value) == answers(sigma)
+
+
+def test_an_unknown_semantics_name_is_a_value_error():
+    af = _pair_beside_a_self_attacker()
+    calls = (
+        lambda: enumerate_extensions(af, "xyz"),
+        lambda: solve_small(af, "xyz", 1),
+        lambda: solve_repair_branching(af, af.set_of(["a"]), "xyz", 1),
+        lambda: fo_solve_small(af, "xyz", 1),
+        lambda: solvers.sigma_member_mask(af, 0, "xyz"),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="unknown semantics 'xyz'"):
+            call()
