@@ -75,7 +75,14 @@ class Forall:
     body: "Formula"
 
 
-Formula = Union[Eq, App1, App2, Not, And, Or, Implies, Exists, Forall]
+@dataclass(frozen=True)
+class AtMost:
+    var: str
+    k: int  # at most k elements satisfy body
+    body: "Formula"
+
+
+Formula = Union[Eq, App1, App2, Not, And, Or, Implies, Exists, Forall, AtMost]
 Pred = Callable[[str], Formula]
 
 
@@ -178,7 +185,7 @@ def _compile(f: Formula, slots: dict[str, int], st: Structure, counter: list[int
         a = _compile(f.left, slots, st, counter)
         b = _compile(f.right, slots, st, counter)
         return lambda env: (not a(env)) or b(env)
-    # quantifiers
+    # quantifiers and the counting node
     slot = counter[0]
     counter[0] += 1
     body = _compile(f.body, {**slots, f.var: slot}, st, counter)
@@ -191,6 +198,17 @@ def _compile(f: Formula, slots: dict[str, int], st: Structure, counter: list[int
                     return True
             return False
         return ex
+    if isinstance(f, AtMost):
+        def am(env):
+            hits = 0
+            for val in rng:
+                env[slot] = val
+                if body(env):
+                    hits += 1
+                    if hits > f.k:
+                        return False
+            return True
+        return am
 
     def fa(env):
         for val in rng:
@@ -227,25 +245,31 @@ def evaluate(
 
 
 def first_model(
-    st: Structure, body: Formula, variables: Sequence[str]
+    st: Structure, body: Formula, variables: Sequence[str], ordered: int = 0
 ) -> tuple[dict[str, str] | None, int]:
     """The first assignment of variables under which body holds, and the
     number of assignments tried.
 
-    Assignments run in product order over the universe, the last variable
-    fastest; with no variables the one empty assignment is tried.
+    The first `ordered` variables run in product order, slowest; body must
+    not tell the others apart, so only their nondecreasing tuples are tried.
+    With no variables the one empty assignment is tried.
     """
     fn, env = _compiled(st, body, variables)
     width = len(variables)
     universe = st.af.arguments
+    elements = range(len(universe))
     tried = 0
     try:
-        for tried, values in enumerate(
-            itertools.product(range(len(universe)), repeat=width), 1
-        ):
-            env[:width] = values
-            if fn(env):
-                return dict(zip(variables, (universe[i] for i in values))), tried
+        for head in itertools.product(elements, repeat=ordered):
+            env[:ordered] = head
+            for tail in itertools.combinations_with_replacement(
+                elements, width - ordered
+            ):
+                tried += 1
+                env[ordered:width] = tail
+                if fn(env):
+                    values = (universe[i] for i in head + tail)
+                    return dict(zip(variables, values)), tried
     except RecursionError:
         raise FormulaTooDeep() from None
     return None, tried
@@ -319,18 +343,12 @@ def _sym_diff_pred(p1: Pred, p2: Pred) -> Pred:
 
 
 def at_most(p: Pred, k: int) -> Formula:
-    """No k+1 pairwise distinct elements all satisfy p."""
+    """At most k elements satisfy p: one counting node, evaluated in one
+    pass over the universe that stops at the (k+1)-th hit."""
     if k < 0:
         raise InvalidArity("at_most needs k >= 0")
-    vs = [fresh_var() for _ in range(k + 1)]
-    parts = [
-        Not(Eq(vs[i], vs[j])) for i in range(k + 1) for j in range(i + 1, k + 1)
-    ]
-    parts.extend(p(v) for v in vs)
-    body: Formula = conj(parts)
-    for v in reversed(vs):
-        body = Exists(v, body)
-    return Not(body)
+    v = fresh_var()
+    return AtMost(v, k, p(v))
 
 
 _SIGMA_BUILDERS = {
@@ -354,7 +372,8 @@ def sigma_of(sigma: Semantics) -> Callable[[Pred], Formula]:
 # Each problem has one body builder.  It returns the witness variables and the
 # open body over them: the closed sentence is that body under their
 # existential quantifiers, and the fo engine scans the same body with
-# first_model.  The builder alone adds the nonempty conjunct.
+# first_model.  The builder alone adds the nonempty conjunct.  x1..xk only
+# name a set, so every body is symmetric in them; adjust's t is not.
 
 
 def _witness_vars(count: int) -> tuple[str, ...]:

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from argudyn import ArgumentationFramework, FormulaTooDeep, parse_apx, write_apx
+from argudyn import ArgumentationFramework, parse_apx, write_apx
 from argudyn.bench import CSV_COLUMNS
 from argudyn.cli import run_cli
 
@@ -219,24 +219,24 @@ def test_a_command_refuses_an_option_it_never_reads(
     assert not out.exists()
 
 
-def test_a_deep_fo_formula_is_a_one_line_diagnostic(tmp_path, capsys):
-    # center from {} to all of 300 isolated arguments: at_most nests 300
-    # quantifiers, past the lowered recursion limit
-    names = [f"a{i}" for i in range(300)]
+def test_a_large_fo_center_answers_under_a_low_recursion_limit(tmp_path, capsys):
+    # center from {} to all of 100 isolated arguments: at_most counts in one
+    # node, so the formula's depth does not grow with dist(E1, E2); 100
+    # nested quantifiers would pass the lowered recursion limit
+    names = [f"a{i}" for i in range(100)]
     af = ArgumentationFramework(names, [])
     path = tmp_path / "isolated.apx"
     path.write_text(write_apx(af), encoding="utf-8")
     argv = ["solve", "center", "--af", str(path), "--semantics", "adm",
             "--e1", "", "--e2", ",".join(names), "--engine", "fo"]
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(250)
+    sys.setrecursionlimit(120)
     try:
         code = run_cli(argv)
     finally:
         sys.setrecursionlimit(limit)
-    # the fo engine raised FormulaTooDeep, not RecursionError
-    assert code == 2
-    assert capsys.readouterr().err == f"error: {FormulaTooDeep()}\n"
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "YES"
 
 
 def test_a_file_that_is_not_utf8_is_named_in_the_diagnostic(tmp_path, capsys):

@@ -8,7 +8,10 @@ that accepts its problem and semantics, and gives one canonical line:
 engine, answer, witness names, error class and the candidates and nodes
 counters.  The digest of those lines was recorded before the engines lost
 their own copies of the question checks, so any change to an answer, a
-witness, an error or a counter shows here.
+witness, an error or a counter shows here.  It was recorded again when the
+fo scan began to try only nondecreasing tuples of its interchangeable
+witness variables: 313 lines changed, each only in a lower fo candidates
+count.
 """
 
 import hashlib
@@ -35,7 +38,7 @@ from oracles import (
 )
 
 FRAMEWORKS = 150
-DIGEST = "ab9cafc09c65161a1b614e3175a33e086e755eae9141e1bfd5d7a0b150362728"
+DIGEST = "64ef1426e62d4b4999cda3c1eb0f25116084358d593c5a32d6d656504cbdd73e"
 
 
 def _near(rng, af, anchor, pool):

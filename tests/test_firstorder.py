@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from argudyn import (
     ArgumentationFramework,
+    FormulaTooDeep,
     InvalidArity,
     Semantics,
     UnboundVariable,
@@ -13,23 +15,32 @@ from argudyn.firstorder import (
     And,
     App1,
     App2,
+    AtMost,
     Eq,
     Exists,
     Forall,
     Implies,
     Not,
     Or,
+    adjust_body,
     adjust_formula,
     adm_of,
     at_most,
+    attacks,
+    center_body,
     center_formula,
     cf_of,
     com_of,
+    conj,
     corrected_repair_formula,
     evaluate,
+    first_model,
+    fresh_var,
+    repair_body,
     repair_formula,
     set_formula,
     sigma_of,
+    small_body,
     small_formula,
     stb_of,
     structure_of,
@@ -123,6 +134,130 @@ def test_at_most_counts_distinct_elements(f4):
     assert evaluate(st, at_most(unary_pred("S"), 4))
     with pytest.raises(InvalidArity):
         at_most(unary_pred("S"), -1)
+
+
+def _nested_at_most(p, k):
+    """at_most's former expansion, the oracle for the counting node: no k+1
+    pairwise distinct elements all satisfy p, as k+1 nested Exists."""
+    vs = [fresh_var() for _ in range(k + 1)]
+    parts = [
+        Not(Eq(vs[i], vs[j])) for i in range(k + 1) for j in range(i + 1, k + 1)
+    ]
+    parts.extend(p(v) for v in vs)
+    body = conj(parts)
+    for v in reversed(vs):
+        body = Exists(v, body)
+    return Not(body)
+
+
+def test_at_most_agrees_with_its_nested_expansion_on_every_subset():
+    # S less the self-attackers, so that the count reads the attacks too
+    def p(v):
+        return And((App1("S", v), Not(attacks(v, v))))
+
+    rng = random.Random(17)
+    for n in range(1, 6):
+        af = random_framework(rng, n)
+        for s in af.all_subsets():
+            st = structure_of(af, S=s)
+            count = sum(1 for x in s.names if (x, x) not in af.attacks)
+            for k in range(n + 2):
+                node = at_most(p, k)
+                assert isinstance(node, AtMost)
+                assert evaluate(st, node) == evaluate(st, _nested_at_most(p, k))
+                assert evaluate(st, node) == (count <= k)
+
+
+def test_at_most_reads_the_variables_bound_around_it():
+    # the body reads z, bound around the node or by the assignment
+    def p(v):
+        return And((App1("S", v), attacks(v, "z")))
+
+    rng = random.Random(29)
+    for _ in range(12):
+        af = random_framework(rng, rng.randint(1, 4))
+        st = structure_of(af, S=af.set_from_mask(rng.getrandbits(af.n)))
+        for k in range(3):
+            for quantifier in (Exists, Forall):
+                assert evaluate(st, quantifier("z", at_most(p, k))) == evaluate(
+                    st, quantifier("z", _nested_at_most(p, k))
+                )
+            for z in af.arguments:
+                assert evaluate(st, at_most(p, k), {"z": z}) == evaluate(
+                    st, _nested_at_most(p, k), {"z": z}
+                )
+
+
+def test_nested_at_most_agrees_with_its_nested_expansion():
+    rng = random.Random(31)
+    for _ in range(8):
+        af = random_framework(rng, rng.randint(1, 4))
+        st = structure_of(af)
+        for inner, outer in itertools.product(range(3), repeat=2):
+            # at most `outer` arguments have at most `inner` attackers
+            node = at_most(lambda v: at_most(lambda w: attacks(w, v), inner), outer)
+            oracle = _nested_at_most(
+                lambda v: _nested_at_most(lambda w: attacks(w, v), inner), outer
+            )
+            assert evaluate(st, node) == evaluate(st, oracle)
+
+
+def _product_scan(st, body, variables):
+    """The reference scan: every assignment in product order, the first
+    variable slowest, each decided by evaluate."""
+    tried = 0
+    for values in itertools.product(st.af.arguments, repeat=len(variables)):
+        tried += 1
+        assignment = dict(zip(variables, values))
+        if evaluate(st, body, assignment):
+            return assignment, tried
+    return None, tried
+
+
+def test_first_model_finds_the_product_order_model_in_fewer_tries():
+    rng = random.Random(41)
+    for n in (1, 2, 3, 4, 5, 6):
+        af = random_framework(rng, n)
+
+        def pick():
+            return af.set_from_mask(rng.getrandbits(n))
+
+        st = structure_of(af, S=pick(), E0=pick(), T=(rng.choice(af.arguments),),
+                          E1=pick(), E2=pick())
+        for sigma in (Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.STABLE):
+            # (layer, leading variables in product order)
+            layers = [(small_body(sigma, k), 0) for k in (1, 2, 3)]
+            for nonempty in (False, True):
+                layers += [(repair_body(sigma, k, nonempty), 0) for k in range(4)]
+                layers += [(adjust_body(sigma, k, nonempty), 1) for k in (1, 2, 3)]
+                layers += [(center_body(sigma, k, nonempty), 0) for k in (2, 3)]
+            for (variables, body), ordered in layers:
+                model, tried = first_model(st, body, variables, ordered)
+                want, most = _product_scan(st, body, variables)
+                assert model == want, (n, sigma, variables)
+                assert tried <= most
+
+
+def test_first_model_runs_the_ordered_variables_in_product_order():
+    # the only model is t = c, x1 = a: a decreasing pair
+    af = ArgumentationFramework(("a", "b", "c"), [])
+    st = structure_of(af, U=("c",), W=("a",))
+    body = And((App1("U", "t"), App1("W", "x1")))
+    # t runs slowest over a, b, c, and x1 over all three under each
+    assert first_model(st, body, ("t", "x1"), 1) == ({"t": "c", "x1": "a"}, 7)
+    # interchangeable, the two values are tried only in nondecreasing order
+    assert first_model(st, body, ("t", "x1")) == (None, 6)
+
+
+def test_a_deep_formula_raises_formula_too_deep(f1):
+    st = structure_of(f1)
+    f = Eq("x", "x")
+    for _ in range(2000):
+        f = Not(f)
+    with pytest.raises(FormulaTooDeep):
+        evaluate(st, f, {"x": "a"})
+    with pytest.raises(FormulaTooDeep):
+        first_model(st, f, ("x",))
 
 
 def test_problem_formula_arity_guards():

@@ -557,6 +557,17 @@ def test_fo_adjust_and_center_take_no_cap(f1):
     assert res.witness.names == ("b",)
 
 
+def test_fo_center_counts_the_distance_to_e2_in_one_pass():
+    # E1 = {} to E2 = all of 10 isolated arguments: {a0} is within 9 of
+    # both, and the scan's first assignment names it.  Written as 10 nested
+    # Exists, the distance bound took over a minute.
+    names = [f"a{i}" for i in range(10)]
+    af = ArgumentationFramework(names, [])
+    res = fo_solve_center(af, af.set_of([]), af.set_of(names), Semantics.ADMISSIBLE)
+    assert res.answer and res.witness.names == ("a0",)
+    assert res.stats.candidates == 1
+
+
 def test_instance_parameter_and_validation(f1, f4):
     cen = center_instance(
         f4, f4.set_of(["a", "c"]), f4.set_of(["b", "d"]), Semantics.STABLE
