@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .core import ArgumentationFramework, ArgumentSet, Semantics
@@ -32,6 +33,17 @@ class Eq:
 @dataclass(frozen=True)
 class App1:
     rel: str
+    arg: str
+
+
+@dataclass(frozen=True)
+class Flipped:
+    """arg is in rel (in the empty set when rel is None) with the set of the
+    variables' values flipped; the variables name a set, so a repeated value
+    flips once."""
+
+    rel: str | None
+    variables: tuple[str, ...]
     arg: str
 
 
@@ -82,7 +94,7 @@ class AtMost:
     body: "Formula"
 
 
-Formula = Union[Eq, App1, App2, Not, And, Or, Implies, Exists, Forall, AtMost]
+Formula = Union[Eq, App1, Flipped, App2, Not, And, Or, Implies, Exists, Forall, AtMost]
 Pred = Callable[[str], Formula]
 
 
@@ -149,17 +161,36 @@ def _slot(slots: dict[str, int], var: str) -> int:
         raise UnboundVariable(f"variable {var!r} is not bound") from None
 
 
+def _unary(st: Structure, rel: str) -> int:
+    try:
+        return st.unary[rel]
+    except KeyError:
+        raise ValueError(f"structure has no unary relation {rel!r}") from None
+
+
 def _compile(f: Formula, slots: dict[str, int], st: Structure, counter: list[int]):
     if isinstance(f, Eq):
         ia, ib = _slot(slots, f.left), _slot(slots, f.right)
         return lambda env: env[ia] == env[ib]
     if isinstance(f, App1):
-        try:
-            mask = st.unary[f.rel]
-        except KeyError:
-            raise ValueError(f"structure has no unary relation {f.rel!r}") from None
+        mask = _unary(st, f.rel)
         ix = _slot(slots, f.arg)
         return lambda env: bool(mask >> env[ix] & 1)
+    if isinstance(f, Flipped):
+        mask = 0 if f.rel is None else _unary(st, f.rel)
+        ix = _slot(slots, f.arg)
+        picks = [_slot(slots, v) for v in f.variables]
+        if not picks:
+            return lambda env: bool(mask >> env[ix] & 1)
+        if len(picks) == 1:
+            (i,) = picks
+            return lambda env: bool(mask >> env[ix] & 1) != (env[ix] == env[i])
+        named = itemgetter(*picks)
+
+        def flipped(env):
+            v = env[ix]
+            return bool(mask >> v & 1) != (v in named(env))
+        return flipped
     if isinstance(f, App2):
         if f.rel != "A":
             raise ValueError(f"structure has no binary relation {f.rel!r}")
@@ -282,29 +313,31 @@ def set_formula(l: int) -> Formula:
     """Membership in the set named by witness variables x1..xl, free var y."""
     if l < 1:
         raise InvalidArity("set formula needs at least one witness variable")
-    return disj(Eq("y", f"x{i}") for i in range(1, l + 1))
+    return Flipped(None, _witness_vars(l), "y")
 
 
-def _set_pred(variables: tuple[str, ...]) -> Pred:
-    return lambda v: disj(Eq(v, x) for x in variables)
+# The sigma builders test membership before they quantify further, so a
+# check over a small set makes one pass over the arguments per member, not
+# one per argument.
 
 
 def cf_of(p: Pred) -> Formula:
     x, y = fresh_var(), fresh_var()
-    return Forall(
-        x, Forall(y, Implies(And((p(x), p(y))), Not(attacks(x, y))))
-    )
+    return Forall(x, Implies(p(x), Forall(y, Implies(p(y), Not(attacks(x, y))))))
 
 
 def adm_of(p: Pred) -> Formula:
     x, y, z = fresh_var(), fresh_var(), fresh_var()
     defended = Forall(
         x,
-        Forall(
-            z,
-            Implies(
-                And((p(x), Not(p(z)), attacks(z, x))),
-                Exists(y, And((p(y), attacks(y, z)))),
+        Implies(
+            p(x),
+            Forall(
+                z,
+                Implies(
+                    And((attacks(z, x), Not(p(z)))),
+                    Exists(y, And((attacks(y, z), p(y)))),
+                ),
             ),
         ),
     )
@@ -320,14 +353,14 @@ def com_of(p: Pred) -> Formula:
         x2, Implies(p(x2), Not(Or((attacks(x2, z), attacks(z, x2)))))
     )
     closure = Forall(
-        z, Implies(And((all_attackers_countered, no_conflict_with)), p(z))
+        z, Or((p(z), Not(And((no_conflict_with, all_attackers_countered)))))
     )
     return And((adm_of(p), closure))
 
 
 def stb_of(p: Pred) -> Formula:
     z, a = fresh_var(), fresh_var()
-    covers = Forall(z, Or((p(z), Exists(a, And((p(a), attacks(a, z)))))))
+    covers = Forall(z, Or((p(z), Exists(a, And((attacks(a, z), p(a)))))))
     return And((cf_of(p), covers))
 
 
@@ -380,11 +413,10 @@ def _witness_vars(count: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, count + 1))
 
 
-def _flipped(rel: str, variables: tuple[str, ...]) -> Pred:
-    """The set named by rel with the witness variables' values flipped."""
-    if not variables:
-        return unary_pred(rel)
-    return _sym_diff_pred(unary_pred(rel), _set_pred(variables))
+def _flipped(rel: str | None, variables: tuple[str, ...]) -> Pred:
+    """The set named by rel (the empty set when rel is None) with the
+    witness variables' values flipped."""
+    return lambda v: Flipped(rel, variables, v)
 
 
 def _body(
@@ -411,7 +443,7 @@ def small_body(sigma: Semantics, k: int) -> tuple[tuple[str, ...], Formula]:
     if k < 1:
         raise InvalidArity("small formula needs k >= 1")
     variables = _witness_vars(k)
-    return variables, build(_set_pred(variables))
+    return variables, build(_flipped(None, variables))
 
 
 def repair_body(

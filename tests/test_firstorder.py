@@ -18,6 +18,7 @@ from argudyn.firstorder import (
     AtMost,
     Eq,
     Exists,
+    Flipped,
     Forall,
     Implies,
     Not,
@@ -33,6 +34,7 @@ from argudyn.firstorder import (
     com_of,
     conj,
     corrected_repair_formula,
+    disj,
     evaluate,
     first_model,
     fresh_var,
@@ -125,6 +127,148 @@ def test_set_formula_and_sym_diff(f4):
     assert holds == {"a", "c"}
     with pytest.raises(InvalidArity):
         set_formula(0)
+
+
+def _or_of_eq(variables):
+    """The witness set as a disjunction of equalities: the oracle for
+    Flipped with no base relation."""
+    return lambda v: disj(Eq(v, x) for x in variables)
+
+
+def _sym_diff_expansion(rel, variables):
+    """rel flipped by the witness set, as the symmetric difference of rel
+    and the disjunction of equalities: the oracle for Flipped."""
+    base, named = unary_pred(rel), _or_of_eq(variables)
+    return lambda v: Or(
+        (And((base(v), Not(named(v)))), And((Not(base(v)), named(v))))
+    )
+
+
+def _flipped_and_oracle(rel, variables):
+    if rel is None:
+        oracle = _or_of_eq(variables)
+    else:
+        oracle = _sym_diff_expansion(rel, variables)
+    return (lambda v: Flipped(rel, variables, v)), oracle
+
+
+def test_flipped_agrees_with_its_expansion_on_every_assignment():
+    rng = random.Random(53)
+    for n in range(1, 6):
+        af = random_framework(rng, n)
+        st = structure_of(af, S=af.set_from_mask(rng.getrandbits(n)))
+        for width, rel in itertools.product((1, 2, 3), ("S", None)):
+            variables = tuple(f"x{i}" for i in range(1, width + 1))
+            node, oracle = _flipped_and_oracle(rel, variables)
+            # the product holds the tuples that repeat a value
+            for values in itertools.product(af.arguments, repeat=width + 1):
+                assignment = dict(zip(variables + ("y",), values))
+                assert evaluate(st, node("y"), assignment) == evaluate(
+                    st, oracle("y"), assignment
+                ), (n, rel, assignment)
+
+
+def test_flipped_agrees_with_its_expansion_under_a_quantifier():
+    # the flipped set's member y is bound inside an outer quantifier over z,
+    # and the witness variables by the assignment or by quantifiers outside
+    rng = random.Random(59)
+    for _ in range(20):
+        af = random_framework(rng, rng.randint(1, 4))
+        st = structure_of(af, S=af.set_from_mask(rng.getrandbits(af.n)))
+        for width, rel, quantifier in itertools.product(
+            (1, 2, 3), ("S", None), (Exists, Forall)
+        ):
+            variables = tuple(f"x{i}" for i in range(1, width + 1))
+
+            def sentence(p):
+                body = Exists("z", quantifier("y", And((p("y"), attacks("z", "y")))))
+                return body, _closed(Forall, variables, body)
+
+            (new, closed_new), (old, closed_old) = map(
+                sentence, _flipped_and_oracle(rel, variables)
+            )
+            for values in itertools.product(af.arguments, repeat=width):
+                assignment = dict(zip(variables, values))
+                assert evaluate(st, new, assignment) == evaluate(st, old, assignment)
+            assert evaluate(st, closed_new) == evaluate(st, closed_old)
+
+
+def _closed(quantifier, variables, body):
+    for v in reversed(variables):
+        body = quantifier(v, body)
+    return body
+
+
+# The sigma builders' shapes before they tested membership first: the
+# oracles for the rewritten builders.
+
+
+def _quantify_first_cf(p):
+    x, y = fresh_var(), fresh_var()
+    return Forall(
+        x, Forall(y, Implies(And((p(x), p(y))), Not(attacks(x, y))))
+    )
+
+
+def _quantify_first_adm(p):
+    x, y, z = fresh_var(), fresh_var(), fresh_var()
+    defended = Forall(
+        x,
+        Forall(
+            z,
+            Implies(
+                And((p(x), Not(p(z)), attacks(z, x))),
+                Exists(y, And((p(y), attacks(y, z)))),
+            ),
+        ),
+    )
+    return And((_quantify_first_cf(p), defended))
+
+
+def _quantify_first_com(p):
+    a, x1, x2, z = fresh_var(), fresh_var(), fresh_var(), fresh_var()
+    all_attackers_countered = Forall(
+        a, Implies(attacks(a, z), Exists(x1, And((p(x1), attacks(x1, a)))))
+    )
+    no_conflict_with = Forall(
+        x2, Implies(p(x2), Not(Or((attacks(x2, z), attacks(z, x2)))))
+    )
+    closure = Forall(
+        z, Implies(And((all_attackers_countered, no_conflict_with)), p(z))
+    )
+    return And((_quantify_first_adm(p), closure))
+
+
+def _quantify_first_stb(p):
+    z, a = fresh_var(), fresh_var()
+    covers = Forall(z, Or((p(z), Exists(a, And((p(a), attacks(a, z)))))))
+    return And((_quantify_first_cf(p), covers))
+
+
+_BUILDERS_AND_ORACLES = (
+    (cf_of, _quantify_first_cf),
+    (adm_of, _quantify_first_adm),
+    (com_of, _quantify_first_com),
+    (stb_of, _quantify_first_stb),
+)
+
+
+def test_membership_first_builders_agree_with_their_former_shapes():
+    def flipped(v):
+        # S with the set {x1, x2} flipped, for every value of x1 and x2
+        return Flipped("S", ("x1", "x2"), v)
+
+    rng = random.Random(61)
+    for trial in range(25):
+        af = random_framework(rng, 1 + trial % 5)
+        for s in af.all_subsets():
+            st = structure_of(af, S=s)
+            for build, former in _BUILDERS_AND_ORACLES:
+                s_pred = unary_pred("S")
+                assert evaluate(st, build(s_pred)) == evaluate(st, former(s_pred))
+                new, old = build(flipped), former(flipped)
+                agree = And((Implies(new, old), Implies(old, new)))
+                assert evaluate(st, _closed(Forall, ("x1", "x2"), agree))
 
 
 def test_at_most_counts_distinct_elements(f4):

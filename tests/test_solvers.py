@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -566,6 +567,30 @@ def test_fo_center_counts_the_distance_to_e2_in_one_pass():
     res = fo_solve_center(af, af.set_of([]), af.set_of(names), Semantics.ADMISSIBLE)
     assert res.answer and res.witness.names == ("a0",)
     assert res.stats.candidates == 1
+
+
+def test_fo_center_tests_membership_before_it_quantifies():
+    # E1 = {} to E2 = all of 100 isolated arguments; the first assignment
+    # names the model {a0}.  The sentences quantify again only past a
+    # member, so deciding them takes a few passes over the arguments: about
+    # 5,400 Python calls, where testing membership by equalities inside two
+    # quantifiers took 4.2 million.
+    names = [f"a{i}" for i in range(100)]
+    af = ArgumentationFramework(names, [])
+    e1, e2 = af.set_of([]), af.set_of(names)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        res = fo_solve_center(af, e1, e2, Semantics.ADMISSIBLE)
+    finally:
+        sys.setprofile(None)
+    assert res.answer and res.witness.names == ("a0",)
+    assert calls < 20_000
 
 
 def test_instance_parameter_and_validation(f1, f4):
