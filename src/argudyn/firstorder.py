@@ -276,31 +276,26 @@ def evaluate(
 
 
 def first_model(
-    st: Structure, body: Formula, variables: Sequence[str], ordered: int = 0
+    st: Structure, body: Formula, variables: Sequence[str]
 ) -> tuple[dict[str, str] | None, int]:
     """The first assignment of variables under which body holds, and the
     number of assignments tried.
 
-    The first `ordered` variables run in product order, slowest; body must
-    not tell the others apart, so only their nondecreasing tuples are tried.
-    With no variables the one empty assignment is tried.
+    body must not tell the variables apart, so only their nondecreasing
+    tuples are tried; with no variables the one empty assignment is tried.
     """
     fn, env = _compiled(st, body, variables)
     width = len(variables)
     universe = st.af.arguments
-    elements = range(len(universe))
     tried = 0
     try:
-        for head in itertools.product(elements, repeat=ordered):
-            env[:ordered] = head
-            for tail in itertools.combinations_with_replacement(
-                elements, width - ordered
-            ):
-                tried += 1
-                env[ordered:width] = tail
-                if fn(env):
-                    values = (universe[i] for i in head + tail)
-                    return dict(zip(variables, values)), tried
+        for values in itertools.combinations_with_replacement(
+            range(len(universe)), width
+        ):
+            tried += 1
+            env[:width] = values
+            if fn(env):
+                return dict(zip(variables, (universe[i] for i in values))), tried
     except RecursionError:
         raise FormulaTooDeep() from None
     return None, tried
@@ -406,7 +401,7 @@ def sigma_of(sigma: Semantics) -> Callable[[Pred], Formula]:
 # open body over them: the closed sentence is that body under their
 # existential quantifiers, and the fo engine scans the same body with
 # first_model.  The builder alone adds the nonempty conjunct.  x1..xk only
-# name a set, so every body is symmetric in them; adjust's t is not.
+# name a set, so every body is symmetric in them.
 
 
 def _witness_vars(count: int) -> tuple[str, ...]:
@@ -461,14 +456,16 @@ def repair_body(
 def adjust_body(
     sigma: Semantics, k: int, require_nonempty: bool = False
 ) -> tuple[tuple[str, ...], Formula]:
-    """t is in T, and E0 with the values of t, x1..x(k-1) flipped is a
-    sigma-extension."""
+    """One of x1..xk is in T, and E0 with their values flipped is a
+    sigma-extension.  As x1..xk name a set, this is the paper's
+    "some t in T and x1..x(k-1) flip E0 to a sigma-extension"."""
     build = sigma_of(sigma)
     if k < 1:
         raise InvalidArity("adjust formula needs k >= 1")
-    variables = ("t",) + _witness_vars(k - 1)
+    variables = _witness_vars(k)
     pred = _flipped("E0", variables)
-    return _body(variables, (App1("T", "t"), build(pred)), pred, require_nonempty)
+    in_t = disj(App1("T", x) for x in variables)
+    return _body(variables, (in_t, build(pred)), pred, require_nonempty)
 
 
 def center_body(

@@ -488,20 +488,17 @@ def structure_of(af: ArgumentationFramework, **unary):
     return firstorder.structure_of(af, **unary)
 
 
-def _fo_scan(
-    af: ArgumentationFramework, anchor: int, layers, ordered: int = 0, **unary
-) -> SolveResult:
+def _fo_scan(af: ArgumentationFramework, anchor: int, layers, **unary) -> SolveResult:
     """Scan the layers, (witness variables, open body) pairs, in order over
     the instance structure; the first model of the first layer that has one
-    names the arguments to flip in anchor.  The first `ordered` variables of
-    each layer run in product order (see first_model)."""
+    names the arguments to flip in anchor."""
     from .firstorder import first_model
 
     start = time.perf_counter()
     stats = SolveStats()
     st = structure_of(af, **unary)
     for variables, body in layers:
-        model, tried = first_model(st, body, variables, ordered)
+        model, tried = first_model(st, body, variables)
         stats.candidates += tried
         if model is not None:
             return _result(af, anchor ^ af.mask_of(model.values()), stats, start)
@@ -541,8 +538,7 @@ def fo_solve_adjust(
     fo = _firstorder(sigma)
     _validate_extension(af, e0, sigma, "E0")
     layers = [fo.adjust_body(sigma, min(k, af.n), require_nonempty)] if k >= 1 else []
-    # the target variable t leads; only x1..x(k-1) are interchangeable
-    return _fo_scan(af, e0.mask, layers, ordered=1, E0=e0, T=(target,))
+    return _fo_scan(af, e0.mask, layers, E0=e0, T=(target,))
 
 
 def fo_solve_center(

@@ -369,28 +369,80 @@ def test_first_model_finds_the_product_order_model_in_fewer_tries():
         st = structure_of(af, S=pick(), E0=pick(), T=(rng.choice(af.arguments),),
                           E1=pick(), E2=pick())
         for sigma in (Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.STABLE):
-            # (layer, leading variables in product order)
-            layers = [(small_body(sigma, k), 0) for k in (1, 2, 3)]
+            layers = [small_body(sigma, k) for k in (1, 2, 3)]
             for nonempty in (False, True):
-                layers += [(repair_body(sigma, k, nonempty), 0) for k in range(4)]
-                layers += [(adjust_body(sigma, k, nonempty), 1) for k in (1, 2, 3)]
-                layers += [(center_body(sigma, k, nonempty), 0) for k in (2, 3)]
-            for (variables, body), ordered in layers:
-                model, tried = first_model(st, body, variables, ordered)
+                layers += [repair_body(sigma, k, nonempty) for k in range(4)]
+                layers += [adjust_body(sigma, k, nonempty) for k in (1, 2, 3)]
+                layers += [center_body(sigma, k, nonempty) for k in (2, 3)]
+            for variables, body in layers:
+                model, tried = first_model(st, body, variables)
                 want, most = _product_scan(st, body, variables)
                 assert model == want, (n, sigma, variables)
                 assert tried <= most
 
 
-def test_first_model_runs_the_ordered_variables_in_product_order():
-    # the only model is t = c, x1 = a: a decreasing pair
+def test_first_model_tries_interchangeable_variables_in_nondecreasing_order():
+    # the only model is x1 = c, x2 = a: a decreasing pair, never tried
     af = ArgumentationFramework(("a", "b", "c"), [])
     st = structure_of(af, U=("c",), W=("a",))
-    body = And((App1("U", "t"), App1("W", "x1")))
-    # t runs slowest over a, b, c, and x1 over all three under each
-    assert first_model(st, body, ("t", "x1"), 1) == ({"t": "c", "x1": "a"}, 7)
-    # interchangeable, the two values are tried only in nondecreasing order
-    assert first_model(st, body, ("t", "x1")) == (None, 6)
+    body = And((App1("U", "x1"), App1("W", "x2")))
+    assert first_model(st, body, ("x1", "x2")) == (None, 6)
+
+
+def _t_led_adjust_body(sigma, k, require_nonempty):
+    """Adjust's former body: a target variable t in T, then x1..x(k-1),
+    all flipped in E0."""
+    variables = ("t",) + tuple(f"x{i}" for i in range(1, k))
+
+    def pred(v):
+        return Flipped("E0", variables, v)
+
+    items = (App1("T", "t"), sigma_of(sigma)(pred))
+    if require_nonempty:
+        y = fresh_var()
+        items += (Exists(y, pred(y)),)
+    return variables, conj(items)
+
+
+def _t_led_scan(st, body, variables):
+    """The former adjust scan: t over every argument, slowest, then the
+    nondecreasing tuples of x1..x(k-1); the set the first model names."""
+    universe = st.af.arguments
+    for t in universe:
+        for tail in itertools.combinations_with_replacement(
+            universe, len(variables) - 1
+        ):
+            if evaluate(st, body, dict(zip(variables, (t,) + tail))):
+                return {t, *tail}
+    return None
+
+
+def _closed_over(variables, body):
+    for v in reversed(variables):
+        body = Exists(v, body)
+    return body
+
+
+def test_adjust_body_agrees_with_its_t_led_form():
+    rng = random.Random(43)
+    for n in range(1, 6):
+        for _ in range(4):
+            af = random_framework(rng, n)
+            st = structure_of(af, E0=af.set_from_mask(rng.getrandbits(n)),
+                              T=(rng.choice(af.arguments),))
+            for sigma in (Semantics.ADMISSIBLE, Semantics.COMPLETE,
+                          Semantics.STABLE):
+                for k in (1, 2, 3):
+                    for nonempty in (False, True):
+                        variables, body = adjust_body(sigma, k, nonempty)
+                        t_led, old_body = _t_led_adjust_body(sigma, k, nonempty)
+                        where = (n, sigma, k, nonempty)
+                        assert evaluate(st, _closed_over(variables, body)) == (
+                            evaluate(st, _closed_over(t_led, old_body))
+                        ), where
+                        model, _ = first_model(st, body, variables)
+                        named = None if model is None else set(model.values())
+                        assert named == _t_led_scan(st, old_body, t_led), where
 
 
 def test_a_deep_formula_raises_formula_too_deep(f1):

@@ -558,6 +558,18 @@ def test_fo_adjust_and_center_take_no_cap(f1):
     assert res.witness.names == ("b",)
 
 
+def test_fo_adjust_tries_each_witness_set_once():
+    # only the target a0 attacks itself, so no admissible set flips it in
+    # from E0 = {}: the scan tries every nondecreasing k-tuple of the ten
+    # arguments, C(10 + k - 1, k) of them, and each names one set
+    names = [f"a{i}" for i in range(10)]
+    af = ArgumentationFramework(names, [("a0", "a0")])
+    for k, tuples in ((1, 10), (2, 55), (3, 220)):
+        res = fo_solve_adjust(af, af.set_of([]), "a0", Semantics.ADMISSIBLE, k)
+        assert not res.answer
+        assert res.stats.candidates == tuples
+
+
 def test_fo_center_counts_the_distance_to_e2_in_one_pass():
     # E1 = {} to E2 = all of 10 isolated arguments: {a0} is within 9 of
     # both, and the scan's first assignment names it.  Written as 10 nested
