@@ -558,10 +558,10 @@ def test_fo_adjust_and_center_take_no_cap(f1):
     assert res.witness.names == ("b",)
 
 
-def test_fo_adjust_tries_each_witness_set_once():
+def test_fo_adjust_tries_only_nondecreasing_tuples():
     # only the target a0 attacks itself, so no admissible set flips it in
     # from E0 = {}: the scan tries every nondecreasing k-tuple of the ten
-    # arguments, C(10 + k - 1, k) of them, and each names one set
+    # arguments, C(10 + k - 1, k) of them, and no other
     names = [f"a{i}" for i in range(10)]
     af = ArgumentationFramework(names, [("a0", "a0")])
     for k, tuples in ((1, 10), (2, 55), (3, 220)):
