@@ -38,11 +38,11 @@ class App1:
 
 @dataclass(frozen=True)
 class Flipped:
-    """arg is in rel (in the empty set when rel is None) with the set of the
-    variables' values flipped; the variables name a set, so a repeated value
-    flips once."""
+    """arg is in the symmetric difference of the unary relations rels (the
+    empty set when there are none) with the set of the variables' values
+    flipped; the variables name a set, so a repeated value flips once."""
 
-    rel: str | None
+    rels: tuple[str, ...]
     variables: tuple[str, ...]
     arg: str
 
@@ -177,7 +177,9 @@ def _compile(f: Formula, slots: dict[str, int], st: Structure, counter: list[int
         ix = _slot(slots, f.arg)
         return lambda env: bool(mask >> env[ix] & 1)
     if isinstance(f, Flipped):
-        mask = 0 if f.rel is None else _unary(st, f.rel)
+        mask = 0
+        for rel in f.rels:
+            mask ^= _unary(st, rel)
         ix = _slot(slots, f.arg)
         picks = [_slot(slots, v) for v in f.variables]
         if not picks:
@@ -281,17 +283,16 @@ def first_model(
     """The first assignment of variables under which body holds, and the
     number of assignments tried.
 
-    body must not tell the variables apart, so only their nondecreasing
-    tuples are tried; with no variables the one empty assignment is tried.
+    body must not tell the variables apart, so only their strictly
+    increasing tuples are tried, in lexicographic order: each set of exactly
+    len(variables) arguments once.  With no variables, the empty assignment.
     """
     fn, env = _compiled(st, body, variables)
     width = len(variables)
     universe = st.af.arguments
     tried = 0
     try:
-        for values in itertools.combinations_with_replacement(
-            range(len(universe)), width
-        ):
+        for values in itertools.combinations(range(len(universe)), width):
             tried += 1
             env[:width] = values
             if fn(env):
@@ -308,7 +309,7 @@ def set_formula(l: int) -> Formula:
     """Membership in the set named by witness variables x1..xl, free var y."""
     if l < 1:
         raise InvalidArity("set formula needs at least one witness variable")
-    return Flipped(None, _witness_vars(l), "y")
+    return Flipped((), _witness_vars(l), "y")
 
 
 # The sigma builders test membership before they quantify further, so a
@@ -361,13 +362,7 @@ def stb_of(p: Pred) -> Formula:
 
 def sym_diff_of(p1: Pred, p2: Pred) -> Formula:
     """Symmetric difference of two predicates, free variable y."""
-    return _sym_diff_pred(p1, p2)("y")
-
-
-def _sym_diff_pred(p1: Pred, p2: Pred) -> Pred:
-    return lambda v: Or(
-        (And((p1(v), Not(p2(v)))), And((Not(p1(v)), p2(v))))
-    )
+    return Or((And((p1("y"), Not(p2("y")))), And((Not(p1("y")), p2("y")))))
 
 
 def at_most(p: Pred, k: int) -> Formula:
@@ -397,29 +392,31 @@ def sigma_of(sigma: Semantics) -> Callable[[Pred], Formula]:
 
 # -- problem sentences ---------------------------------------------------------
 #
-# Each problem has one body builder.  It returns the witness variables and the
-# open body over them: the closed sentence is that body under their
-# existential quantifiers, and the fo engine scans the same body with
-# first_model.  The builder alone adds the nonempty conjunct.  x1..xk only
-# name a set, so every body is symmetric in them.
+# Each problem is a sequence of layers, as in delta's walk: the layer of
+# distance d flips the d arguments that x1..xd name in an anchor, the
+# symmetric difference of some unary relations.  A body builder returns one
+# layer's witness variables and its open body; the closed sentence puts the
+# body under their existential quantifiers, and the fo engine scans the
+# bodies of the layers in order with first_model.  The builder alone adds
+# the nonempty conjunct.  x1..xd only name a set, so every body is symmetric
+# in them.
 
 
 def _witness_vars(count: int) -> tuple[str, ...]:
+    if count < 0:
+        raise InvalidArity("a layer needs d >= 0 witness variables")
     return tuple(f"x{i}" for i in range(1, count + 1))
 
 
-def _flipped(rel: str | None, variables: tuple[str, ...]) -> Pred:
-    """The set named by rel (the empty set when rel is None) with the
-    witness variables' values flipped."""
-    return lambda v: Flipped(rel, variables, v)
-
-
-def _body(
-    variables: tuple[str, ...],
-    items: tuple[Formula, ...],
-    pred: Pred,
-    require_nonempty: bool,
+def _flip_body(
+    sigma: Semantics, rels: tuple[str, ...], variables: tuple[str, ...],
+    extra: tuple[Formula, ...], require_nonempty: bool,
 ) -> tuple[tuple[str, ...], Formula]:
+    """The extra conjuncts, and: rels' symmetric difference with the
+    variables' values flipped is a sigma-extension."""
+    def pred(v: str) -> Formula:
+        return Flipped(rels, variables, v)
+    items = extra + (sigma_of(sigma)(pred),)
     if require_nonempty:
         y = fresh_var()
         items += (Exists(y, pred(y)),)
@@ -432,54 +429,41 @@ def _closed(variables: tuple[str, ...], body: Formula) -> Formula:
     return body
 
 
-def small_body(sigma: Semantics, k: int) -> tuple[tuple[str, ...], Formula]:
-    """x1..xk name a sigma-extension; that set is never empty."""
-    build = sigma_of(sigma)
-    if k < 1:
-        raise InvalidArity("small formula needs k >= 1")
-    variables = _witness_vars(k)
-    return variables, build(_flipped(None, variables))
+def small_body(sigma: Semantics, d: int) -> tuple[tuple[str, ...], Formula]:
+    """x1..xd name a sigma-extension; that set is never empty."""
+    if d < 1:
+        raise InvalidArity("small body needs d >= 1")
+    return _flip_body(sigma, (), _witness_vars(d), (), False)
 
 
 def repair_body(
-    sigma: Semantics, k: int, require_nonempty: bool = False
+    sigma: Semantics, d: int, require_nonempty: bool = False
 ) -> tuple[tuple[str, ...], Formula]:
-    """S with the values of x1..xk flipped is a sigma-extension; k = 0 is S."""
-    build = sigma_of(sigma)
-    if k < 0:
-        raise InvalidArity("repair body needs k >= 0")
-    variables = _witness_vars(k)
-    pred = _flipped("S", variables)
-    return _body(variables, (build(pred),), pred, require_nonempty)
+    """S with the values of x1..xd flipped is a sigma-extension; d = 0 is S."""
+    return _flip_body(sigma, ("S",), _witness_vars(d), (), require_nonempty)
 
 
 def adjust_body(
-    sigma: Semantics, k: int, require_nonempty: bool = False
+    sigma: Semantics, d: int, require_nonempty: bool = False
 ) -> tuple[tuple[str, ...], Formula]:
-    """One of x1..xk is in T, and E0 with their values flipped is a
-    sigma-extension.  As x1..xk name a set, this is the paper's
-    "some t in T and x1..x(k-1) flip E0 to a sigma-extension"."""
-    build = sigma_of(sigma)
-    if k < 1:
-        raise InvalidArity("adjust formula needs k >= 1")
-    variables = _witness_vars(k)
-    pred = _flipped("E0", variables)
-    in_t = disj(App1("T", x) for x in variables)
-    return _body(variables, (in_t, build(pred)), pred, require_nonempty)
+    """None of x1..xd is in T, and E0 with the target in T and the values of
+    x1..xd flipped is a sigma-extension: one at distance d + 1 from E0 that
+    flips the target."""
+    variables = _witness_vars(d)
+    outside_t = tuple(Not(App1("T", x)) for x in variables)
+    return _flip_body(sigma, ("E0", "T"), variables, outside_t, require_nonempty)
 
 
 def center_body(
-    sigma: Semantics, k: int, require_nonempty: bool = False
+    sigma: Semantics, k: int, d: int, require_nonempty: bool = False
 ) -> tuple[tuple[str, ...], Formula]:
-    """E1 with the values of x1..x(k-1) flipped is a sigma-extension that
-    differs from E2 in at most k-1 arguments."""
-    build = sigma_of(sigma)
+    """E1 with the values of x1..xd flipped is a sigma-extension that differs
+    from E2 in at most k-1 arguments."""
     if k < 2:
-        raise InvalidArity("center formula needs k >= 2")
-    variables = _witness_vars(k - 1)
-    pred = _flipped("E1", variables)
-    near_e2 = at_most(_sym_diff_pred(pred, unary_pred("E2")), k - 1)
-    return _body(variables, (build(pred), near_e2), pred, require_nonempty)
+        raise InvalidArity("center body needs k >= 2")
+    variables = _witness_vars(d)
+    near_e2 = at_most(lambda v: Flipped(("E1", "E2"), variables, v), k - 1)
+    return _flip_body(sigma, ("E1",), variables, (near_e2,), require_nonempty)
 
 
 def small_formula(sigma: Semantics, k: int) -> Formula:
@@ -509,10 +493,14 @@ def corrected_repair_formula(sigma: Semantics, k: int) -> Formula:
 
 
 def adjust_formula(sigma: Semantics, k: int) -> Formula:
-    """Some sigma-extension within distance k of E0 flips a target in T."""
-    return _closed(*adjust_body(sigma, k))
+    """Some sigma-extension within distance k of E0 flips a target in T:
+    the disjunction of the layers d = 0..k-1."""
+    if k < 1:
+        raise InvalidArity("adjust formula needs k >= 1")
+    return disj(_closed(*adjust_body(sigma, d)) for d in range(k))
 
 
 def center_formula(sigma: Semantics, k: int) -> Formula:
-    """Some sigma-extension lies strictly closer than k to both E1 and E2."""
-    return _closed(*center_body(sigma, k))
+    """Some sigma-extension lies strictly closer than k to both E1 and E2; a
+    value named twice flips once, so k-1 variables cover d = 1..k-1."""
+    return _closed(*center_body(sigma, k, k - 1))

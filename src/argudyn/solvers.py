@@ -5,8 +5,9 @@ canonical order and returns the first witness at the smallest distance
 (ties broken by cardinality, then lexicographic argument order).  The
 branching route handles Repair for adm/com/stb by flipping one argument per
 budget unit.  The first-order route scans the open bodies of the problem
-sentences that firstorder builds, one distance layer at a time, and returns
-the first model in product order.
+sentences that firstorder builds, over the distance layers delta walks, and
+returns the first model of the first layer that has one, trying each layer's
+witness sets as strictly increasing tuples.
 
 Adjust and Center accept the empty set as a witness by default; pass
 require_nonempty=True to restrict to nonempty witnesses (the reduction
@@ -488,41 +489,48 @@ def structure_of(af: ArgumentationFramework, **unary):
     return firstorder.structure_of(af, **unary)
 
 
-def _fo_scan(af: ArgumentationFramework, anchor: int, layers, **unary) -> SolveResult:
+def _fo_scan(instance: ProblemInstance, anchor: int, layers, **unary) -> SolveResult:
     """Scan the layers, (witness variables, open body) pairs, in order over
     the instance structure; the first model of the first layer that has one
-    names the arguments to flip in anchor."""
+    names the arguments to flip in anchor, and that set is checked again.
+    The entries build the layers lazily, with the distances delta walks."""
     from .firstorder import first_model
 
     start = time.perf_counter()
     stats = SolveStats()
+    af, sigma = instance.framework, instance.semantics
     st = structure_of(af, **unary)
     for variables, body in layers:
         model, tried = first_model(st, body, variables)
         stats.candidates += tried
         if model is not None:
-            return _result(af, anchor ^ af.mask_of(model.values()), stats, start)
+            result = _result(af, anchor ^ af.mask_of(model.values()), stats, start)
+            label = f"the fo {instance.kind.value} witness"
+            _validate_extension(af, result.witness, sigma, label)
+            return result
     return _result(af, None, stats, start)
 
 
 def fo_solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int
 ) -> SolveResult:
-    sigma = small_instance(af, sigma, k).semantics
+    instance = small_instance(af, sigma, k)
+    sigma = instance.semantics
     fo = _firstorder(sigma)
-    layers = [fo.small_body(sigma, min(k, af.n))] if k >= 1 and af.n else []
-    return _fo_scan(af, 0, layers)
+    layers = (fo.small_body(sigma, d) for d in range(1, min(k, af.n) + 1))
+    return _fo_scan(instance, 0, layers)
 
 
 def fo_solve_repair(
     af: ArgumentationFramework, s: ArgumentSet, sigma: Semantics, k: int
 ) -> SolveResult:
-    """Repair via the corrected sentence: distance-l disjuncts, l = 0..k."""
-    sigma = repair_instance(af, s, sigma, k).semantics
+    """Repair via the corrected sentence: distance-d disjuncts, d = 0..k."""
+    instance = repair_instance(af, s, sigma, k)
+    sigma = instance.semantics
     fo = _firstorder(sigma)
-    widths = range(min(k, af.n) + 1) if af.n else ()
-    layers = (fo.repair_body(sigma, l, require_nonempty=True) for l in widths)
-    return _fo_scan(af, s.mask, layers, S=s)
+    widths = range(min(k, af.n) + 1)
+    layers = (fo.repair_body(sigma, d, require_nonempty=True) for d in widths)
+    return _fo_scan(instance, s.mask, layers, S=s)
 
 
 def fo_solve_adjust(
@@ -534,11 +542,13 @@ def fo_solve_adjust(
     *,
     require_nonempty: bool = False,
 ) -> SolveResult:
-    sigma = adjust_instance(af, e0, target, sigma, k).semantics
+    instance = adjust_instance(af, e0, target, sigma, k)
+    sigma = instance.semantics
     fo = _firstorder(sigma)
     _validate_extension(af, e0, sigma, "E0")
-    layers = [fo.adjust_body(sigma, min(k, af.n), require_nonempty)] if k >= 1 else []
-    return _fo_scan(af, e0.mask, layers, E0=e0, T=(target,))
+    layers = (fo.adjust_body(sigma, d, require_nonempty) for d in range(min(k, af.n)))
+    anchor = e0.mask ^ 1 << af.index_of(target)
+    return _fo_scan(instance, anchor, layers, E0=e0, T=(target,))
 
 
 def fo_solve_center(
@@ -549,14 +559,14 @@ def fo_solve_center(
     *,
     require_nonempty: bool = False,
 ) -> SolveResult:
-    sigma = center_instance(af, e1, e2, sigma).semantics
+    instance = center_instance(af, e1, e2, sigma)
+    sigma = instance.semantics
     fo = _firstorder(sigma)
     _validate_extension(af, e1, sigma, "E1")
     _validate_extension(af, e2, sigma, "E2")
-    # k = dist(E1, E2) <= n, so k - 1 witness variables never exceed n
     k = (e1.mask ^ e2.mask).bit_count()
-    layers = [fo.center_body(sigma, k, require_nonempty)] if k >= 2 else []
-    return _fo_scan(af, e1.mask, layers, E1=e1, E2=e2)
+    layers = (fo.center_body(sigma, k, d, require_nonempty) for d in range(1, k))
+    return _fo_scan(instance, e1.mask, layers, E1=e1, E2=e2)
 
 
 # -- dispatcher ------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -129,43 +130,44 @@ def test_set_formula_and_sym_diff(f4):
         set_formula(0)
 
 
-def _or_of_eq(variables):
-    """The witness set as a disjunction of equalities: the oracle for
-    Flipped with no base relation."""
-    return lambda v: disj(Eq(v, x) for x in variables)
+# Flipped over no relation, one, and the symmetric difference of two
+RELS = ((), ("S",), ("S", "T"))
 
 
-def _sym_diff_expansion(rel, variables):
-    """rel flipped by the witness set, as the symmetric difference of rel
-    and the disjunction of equalities: the oracle for Flipped."""
-    base, named = unary_pred(rel), _or_of_eq(variables)
-    return lambda v: Or(
-        (And((base(v), Not(named(v)))), And((Not(base(v)), named(v))))
-    )
+def _sym_diff(p, q):
+    return lambda v: Or((And((p(v), Not(q(v)))), And((Not(p(v)), q(v)))))
 
 
-def _flipped_and_oracle(rel, variables):
-    if rel is None:
-        oracle = _or_of_eq(variables)
-    else:
-        oracle = _sym_diff_expansion(rel, variables)
-    return (lambda v: Flipped(rel, variables, v)), oracle
+def _flipped_and_oracle(rels, variables):
+    """Flipped, and its oracle: the relations and the witness set, as a
+    disjunction of equalities, folded by symmetric difference."""
+
+    def named(v):
+        return disj(Eq(v, x) for x in variables)
+
+    oracle = functools.reduce(_sym_diff, [unary_pred(r) for r in rels] + [named])
+    return (lambda v: Flipped(rels, variables, v)), oracle
+
+
+def _two_sets(rng, af):
+    return structure_of(af, S=af.set_from_mask(rng.getrandbits(af.n)),
+                        T=af.set_from_mask(rng.getrandbits(af.n)))
 
 
 def test_flipped_agrees_with_its_expansion_on_every_assignment():
     rng = random.Random(53)
     for n in range(1, 6):
         af = random_framework(rng, n)
-        st = structure_of(af, S=af.set_from_mask(rng.getrandbits(n)))
-        for width, rel in itertools.product((1, 2, 3), ("S", None)):
+        st = _two_sets(rng, af)
+        for width, rels in itertools.product((1, 2, 3), RELS):
             variables = tuple(f"x{i}" for i in range(1, width + 1))
-            node, oracle = _flipped_and_oracle(rel, variables)
+            node, oracle = _flipped_and_oracle(rels, variables)
             # the product holds the tuples that repeat a value
             for values in itertools.product(af.arguments, repeat=width + 1):
                 assignment = dict(zip(variables + ("y",), values))
                 assert evaluate(st, node("y"), assignment) == evaluate(
                     st, oracle("y"), assignment
-                ), (n, rel, assignment)
+                ), (n, rels, assignment)
 
 
 def test_flipped_agrees_with_its_expansion_under_a_quantifier():
@@ -174,9 +176,9 @@ def test_flipped_agrees_with_its_expansion_under_a_quantifier():
     rng = random.Random(59)
     for _ in range(20):
         af = random_framework(rng, rng.randint(1, 4))
-        st = structure_of(af, S=af.set_from_mask(rng.getrandbits(af.n)))
-        for width, rel, quantifier in itertools.product(
-            (1, 2, 3), ("S", None), (Exists, Forall)
+        st = _two_sets(rng, af)
+        for width, rels, quantifier in itertools.product(
+            (1, 2, 3), RELS, (Exists, Forall)
         ):
             variables = tuple(f"x{i}" for i in range(1, width + 1))
 
@@ -185,7 +187,7 @@ def test_flipped_agrees_with_its_expansion_under_a_quantifier():
                 return body, _closed(Forall, variables, body)
 
             (new, closed_new), (old, closed_old) = map(
-                sentence, _flipped_and_oracle(rel, variables)
+                sentence, _flipped_and_oracle(rels, variables)
             )
             for values in itertools.product(af.arguments, repeat=width):
                 assignment = dict(zip(variables, values))
@@ -256,7 +258,7 @@ _BUILDERS_AND_ORACLES = (
 def test_membership_first_builders_agree_with_their_former_shapes():
     def flipped(v):
         # S with the set {x1, x2} flipped, for every value of x1 and x2
-        return Flipped("S", ("x1", "x2"), v)
+        return Flipped(("S",), ("x1", "x2"), v)
 
     rng = random.Random(61)
     for trial in range(25):
@@ -346,19 +348,24 @@ def test_nested_at_most_agrees_with_its_nested_expansion():
             assert evaluate(st, node) == evaluate(st, oracle)
 
 
-def _product_scan(st, body, variables):
-    """The reference scan: every assignment in product order, the first
-    variable slowest, each decided by evaluate."""
+def _increasing_scan(st, body, variables):
+    """The reference scan: the assignments of the product order, the first
+    variable slowest, whose values strictly increase in argument order, each
+    decided by evaluate."""
     tried = 0
-    for values in itertools.product(st.af.arguments, repeat=len(variables)):
+    for values in itertools.product(range(st.af.n), repeat=len(variables)):
+        if any(a >= b for a, b in zip(values, values[1:])):
+            continue
         tried += 1
-        assignment = dict(zip(variables, values))
+        assignment = dict(zip(variables, (st.af.arguments[i] for i in values)))
         if evaluate(st, body, assignment):
             return assignment, tried
     return None, tried
 
 
-def test_first_model_finds_the_product_order_model_in_fewer_tries():
+def test_first_model_finds_the_first_increasing_model_in_product_order():
+    # every layer body of the four problems: the same model after the same
+    # number of tries as the reference scan
     rng = random.Random(41)
     for n in (1, 2, 3, 4, 5, 6):
         af = random_framework(rng, n)
@@ -369,24 +376,28 @@ def test_first_model_finds_the_product_order_model_in_fewer_tries():
         st = structure_of(af, S=pick(), E0=pick(), T=(rng.choice(af.arguments),),
                           E1=pick(), E2=pick())
         for sigma in (Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.STABLE):
-            layers = [small_body(sigma, k) for k in (1, 2, 3)]
+            layers = [small_body(sigma, d) for d in (1, 2, 3)]
             for nonempty in (False, True):
-                layers += [repair_body(sigma, k, nonempty) for k in range(4)]
-                layers += [adjust_body(sigma, k, nonempty) for k in (1, 2, 3)]
-                layers += [center_body(sigma, k, nonempty) for k in (2, 3)]
+                layers += [repair_body(sigma, d, nonempty) for d in range(4)]
+                layers += [adjust_body(sigma, d, nonempty) for d in range(3)]
+                layers += [center_body(sigma, k, d, nonempty)
+                           for k in (2, 3, 4) for d in range(1, k)]
             for variables, body in layers:
-                model, tried = first_model(st, body, variables)
-                want, most = _product_scan(st, body, variables)
-                assert model == want, (n, sigma, variables)
-                assert tried <= most
+                assert first_model(st, body, variables) == _increasing_scan(
+                    st, body, variables
+                ), (n, sigma, variables)
 
 
-def test_first_model_tries_interchangeable_variables_in_nondecreasing_order():
-    # the only model is x1 = c, x2 = a: a decreasing pair, never tried
+def test_first_model_tries_interchangeable_variables_in_increasing_order():
     af = ArgumentationFramework(("a", "b", "c"), [])
-    st = structure_of(af, U=("c",), W=("a",))
+    st = structure_of(af, U=("c",), W=("a",), B=("b",))
+    # the only model is x1 = c, x2 = a: a decreasing pair, never tried
     body = And((App1("U", "x1"), App1("W", "x2")))
-    assert first_model(st, body, ("x1", "x2")) == (None, 6)
+    assert first_model(st, body, ("x1", "x2")) == (None, 3)
+    # the only model repeats b, and names a set of one argument
+    body = And((App1("B", "x1"), App1("B", "x2")))
+    assert first_model(st, body, ("x1", "x2")) == (None, 3)
+    assert first_model(st, App1("B", "x1"), ("x1",)) == ({"x1": "b"}, 2)
 
 
 def _t_led_adjust_body(sigma, k, require_nonempty):
@@ -395,7 +406,7 @@ def _t_led_adjust_body(sigma, k, require_nonempty):
     variables = ("t",) + tuple(f"x{i}" for i in range(1, k))
 
     def pred(v):
-        return Flipped("E0", variables, v)
+        return Flipped(("E0",), variables, v)
 
     items = (App1("T", "t"), sigma_of(sigma)(pred))
     if require_nonempty:
@@ -404,16 +415,25 @@ def _t_led_adjust_body(sigma, k, require_nonempty):
     return variables, conj(items)
 
 
-def _t_led_scan(st, body, variables):
-    """The former adjust scan: t over every argument, slowest, then the
-    nondecreasing tuples of x1..x(k-1); the set the first model names."""
+def _t_led_models(st, body, variables):
+    """The flip sets that the models of the t-led body name."""
     universe = st.af.arguments
-    for t in universe:
+    return {
+        frozenset((t,) + tail)
+        for t in universe
         for tail in itertools.combinations_with_replacement(
             universe, len(variables) - 1
-        ):
-            if evaluate(st, body, dict(zip(variables, (t,) + tail))):
-                return {t, *tail}
+        )
+        if evaluate(st, body, dict(zip(variables, (t,) + tail)))
+    }
+
+
+def _first_layer_model(st, layers):
+    """The values of the first model of the first layer that has one."""
+    for variables, body in layers:
+        model, _ = first_model(st, body, variables)
+        if model is not None:
+            return set(model.values())
     return None
 
 
@@ -424,25 +444,34 @@ def _closed_over(variables, body):
 
 
 def test_adjust_body_agrees_with_its_t_led_form():
+    # the layers d = 0..k-1 flip the target and d others; their disjunction
+    # is the t-led sentence, and the layered scan names one of its flip sets
+    # of least size
     rng = random.Random(43)
     for n in range(1, 6):
         for _ in range(4):
             af = random_framework(rng, n)
+            target = rng.choice(af.arguments)
             st = structure_of(af, E0=af.set_from_mask(rng.getrandbits(n)),
-                              T=(rng.choice(af.arguments),))
+                              T=(target,))
             for sigma in (Semantics.ADMISSIBLE, Semantics.COMPLETE,
                           Semantics.STABLE):
                 for k in (1, 2, 3):
                     for nonempty in (False, True):
-                        variables, body = adjust_body(sigma, k, nonempty)
+                        layers = [adjust_body(sigma, d, nonempty) for d in range(k)]
                         t_led, old_body = _t_led_adjust_body(sigma, k, nonempty)
                         where = (n, sigma, k, nonempty)
-                        assert evaluate(st, _closed_over(variables, body)) == (
-                            evaluate(st, _closed_over(t_led, old_body))
-                        ), where
-                        model, _ = first_model(st, body, variables)
-                        named = None if model is None else set(model.values())
-                        assert named == _t_led_scan(st, old_body, t_led), where
+                        assert evaluate(
+                            st, disj(_closed_over(*layer) for layer in layers)
+                        ) == evaluate(st, _closed_over(t_led, old_body)), where
+                        models = _t_led_models(st, old_body, t_led)
+                        named = _first_layer_model(st, layers)
+                        if named is None:
+                            assert not models, where
+                        else:
+                            flips = frozenset({target, *named})
+                            assert flips in models, where
+                            assert len(flips) == min(map(len, models)), where
 
 
 def test_a_deep_formula_raises_formula_too_deep(f1):

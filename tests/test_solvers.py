@@ -20,8 +20,10 @@ from argudyn import (
     repair_instance,
     small_instance,
 )
-from argudyn import enumeration, solvers
+from argudyn import enumeration, firstorder, solvers
 from argudyn.firstorder import (
+    Eq,
+    Forall,
     adjust_formula,
     center_formula,
     corrected_repair_formula,
@@ -560,14 +562,55 @@ def test_fo_adjust_and_center_take_no_cap(f1):
 
 def test_fo_adjust_tries_only_nondecreasing_tuples():
     # only the target a0 attacks itself, so no admissible set flips it in
-    # from E0 = {}: the scan tries every nondecreasing k-tuple of the ten
-    # arguments, C(10 + k - 1, k) of them, and no other
+    # from E0 = {}: the scan walks the layers d = 0..k-1 and tries each
+    # strictly increasing d-tuple of the ten arguments once, C(10, d) of
+    # them, and no other
     names = [f"a{i}" for i in range(10)]
     af = ArgumentationFramework(names, [("a0", "a0")])
-    for k, tuples in ((1, 10), (2, 55), (3, 220)):
+    for k, tuples in ((1, 1), (2, 1 + 10), (3, 1 + 10 + 45)):
         res = fo_solve_adjust(af, af.set_of([]), "a0", Semantics.ADMISSIBLE, k)
         assert not res.answer
         assert res.stats.candidates == tuples
+
+
+def test_fo_rechecks_its_witness(monkeypatch):
+    # each body builder patched to an always-true body: the first assignment
+    # names the first argument, c, and flipping it in the anchor gives a set
+    # that is not stable, so the engine raises instead of answering YES
+    af = ArgumentationFramework(("c", "a", "b"), [("a", "b"), ("b", "a")])
+    stb = Semantics.STABLE
+    e1, e2 = af.set_of(["a", "c"]), af.set_of(["b", "c"])
+    solves = {
+        "small": lambda: fo_solve_small(af, stb, 1),
+        "repair": lambda: fo_solve_repair(af, af.set_of([]), stb, 1),
+        "adjust": lambda: fo_solve_adjust(af, e1, "b", stb, 1),
+        "center": lambda: fo_solve_center(af, e1, e2, stb),
+    }
+
+    def always_true(*args, **kwargs):
+        return ("x1",), Forall("z", Eq("z", "z"))
+
+    for problem, solve in solves.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(firstorder, f"{problem}_body", always_true)
+            with pytest.raises(NotAnExtension, match=f"fo {problem} .* under stb"):
+                solve()
+        solve()  # the true bodies pass their check
+
+
+def test_fo_center_bounds_the_distance_to_e2_strictly():
+    # E1 and E2 lie 4 apart.  {x2, x4} is stable and 2 flips from E1, but 4
+    # from E2, so it is no center; a bound of k in place of k - 1 takes it
+    af = ArgumentationFramework(
+        ("x0", "x1", "x2", "x3", "x4"),
+        [("x0", "x2"), ("x0", "x3"), ("x1", "x2"), ("x1", "x4"), ("x2", "x0"),
+         ("x2", "x1"), ("x3", "x1"), ("x3", "x4"), ("x4", "x3")],
+    )
+    e1, e2 = af.set_of(["x2", "x3"]), af.set_of(["x0", "x1"])
+    stb = Semantics.STABLE
+    assert solvers.sigma_member_mask(af, af.set_of(["x2", "x4"]).mask, stb)
+    for solve in (solve_center, fo_solve_center):
+        assert not solve(af, e1, e2, stb).answer
 
 
 def test_fo_center_counts_the_distance_to_e2_in_one_pass():
