@@ -278,21 +278,22 @@ def evaluate(
 
 
 def first_model(
-    st: Structure, body: Formula, variables: Sequence[str]
+    st: Structure,
+    body: Formula,
+    variables: Sequence[str],
+    tuples: Iterable[tuple[int, ...]],
 ) -> tuple[dict[str, str] | None, int]:
-    """The first assignment of variables under which body holds, and the
-    number of assignments tried.
-
-    body must not tell the variables apart, so only their strictly
-    increasing tuples are tried, in lexicographic order: each set of exactly
-    len(variables) arguments once.  With no variables, the empty assignment.
+    """The first of tuples, each the argument indices to give variables,
+    under which body holds, as an assignment; and the number tried.  The
+    caller chooses the tuples: the fo engine passes the strictly increasing
+    ones of the arguments a layer may flip, so each set is tried once.
     """
     fn, env = _compiled(st, body, variables)
     width = len(variables)
     universe = st.af.arguments
     tried = 0
     try:
-        for values in itertools.combinations(range(len(universe)), width):
+        for values in tuples:
             tried += 1
             env[:width] = values
             if fn(env):
@@ -303,13 +304,6 @@ def first_model(
 
 
 # -- semantics transliterations ----------------------------------------------
-
-
-def set_formula(l: int) -> Formula:
-    """Membership in the set named by witness variables x1..xl, free var y."""
-    if l < 1:
-        raise InvalidArity("set formula needs at least one witness variable")
-    return Flipped((), _witness_vars(l), "y")
 
 
 # The sigma builders test membership before they quantify further, so a
@@ -358,11 +352,6 @@ def stb_of(p: Pred) -> Formula:
     z, a = fresh_var(), fresh_var()
     covers = Forall(z, Or((p(z), Exists(a, And((attacks(a, z), p(a)))))))
     return And((cf_of(p), covers))
-
-
-def sym_diff_of(p1: Pred, p2: Pred) -> Formula:
-    """Symmetric difference of two predicates, free variable y."""
-    return Or((And((p1("y"), Not(p2("y")))), And((Not(p1("y")), p2("y")))))
 
 
 def at_most(p: Pred, k: int) -> Formula:

@@ -7,7 +7,8 @@ branching route handles Repair for adm/com/stb by flipping one argument per
 budget unit.  The first-order route scans the open bodies of the problem
 sentences that firstorder builds, over the distance layers delta walks, and
 returns the first model of the first layer that has one, trying each layer's
-witness sets as strictly increasing tuples.
+witness sets as strictly increasing tuples of the arguments delta may flip.
+Delta and fo read each problem's anchor, layers, pools and endpoints from _spec.
 
 Adjust and Center accept the empty set as a witness by default; pass
 require_nonempty=True to restrict to nonempty witnesses (the reduction
@@ -21,7 +22,7 @@ membership check, sigma_member_mask, that the engines use.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -202,24 +203,59 @@ def _change_sets(
                         yield from _additions(af, kept, stages)
 
 
-def _walk(
-    af: ArgumentationFramework,
-    sigma: Semantics,
-    cap: int | None,
-    anchor: int,
-    first: int,
-    last: int,
-    inside: Sequence[int],
-    outside: Sequence[int] = (),
-    allow_empty: bool = False,
-) -> SolveResult:
-    """Walk the conflict-free change sets of size d = first..last around
-    anchor.
+def _spec(instance: ProblemInstance, require_nonempty: bool) -> tuple:
+    """The question as delta and fo both search it: (anchor, first, last,
+    inside, outside, allow_empty, unary, endpoints).  A witness flips d =
+    first..last arguments of the pools in anchor; last is cut at their size.
+    b flips from a nonempty outside need at least b+1 from inside.  unary
+    names the sets the fo sentences read, endpoints those that must be
+    sigma-extensions.  Only adjust and center allow the empty set, unless
+    require_nonempty.
 
-    A change set flips arguments of inside and outside; one with b flips in
-    outside needs at least b+1 in inside.  The least sigma-extension of the
-    first layer that holds any, under the canonical order, is the witness.
+      problem  anchor     d               inside      outside   endpoints
+      small    {}         1..k            all
+      repair   S          0..k            all
+      adjust   E0 ^ {t}   0..k-1          all but t             E0
+      center   E1         1..|E1^E2|-1    E1^E2       the rest  E1, E2
     """
+    af, kind, k = instance.framework, instance.kind, instance.k
+    everyone = list(range(af.n))
+    # small's row; the others change what differs
+    anchor, first, last, inside, outside = 0, 1, k, everyone, []
+    allow_empty, unary, endpoints = False, {}, ()
+    if kind is ProblemKind.REPAIR:
+        anchor, first, unary = instance.s.mask, 0, {"S": instance.s}
+    elif kind is ProblemKind.ADJUST:
+        t = af.index_of(instance.target)
+        anchor, first, last = instance.e0.mask ^ 1 << t, 0, k - 1
+        inside = [i for i in everyone if i != t]
+        unary, endpoints = {"E0": instance.e0, "T": (instance.target,)}, ("E0",)
+    elif kind is ProblemKind.CENTER:
+        e1, e2 = instance.e1, instance.e2
+        diff = e1.mask ^ e2.mask
+        inside = [i for i in everyone if diff >> i & 1]
+        outside = [i for i in everyone if not diff >> i & 1]
+        anchor, last = e1.mask, len(inside) - 1
+        unary, endpoints = {"E1": e1, "E2": e2}, ("E1", "E2")
+    if kind in (ProblemKind.ADJUST, ProblemKind.CENTER):
+        allow_empty = not require_nonempty
+    last = min(last, len(inside) + len(outside))
+    return anchor, first, last, inside, outside, allow_empty, unary, endpoints
+
+
+def _walk(
+    instance: ProblemInstance, cap: int | None, require_nonempty: bool
+) -> SolveResult:
+    """Walk the conflict-free change sets of the question's spec, layer by
+    layer.  The least sigma-extension of the first layer that holds any,
+    under the canonical order, is the witness.
+    """
+    af, sigma = instance.framework, instance.semantics
+    anchor, first, last, inside, outside, allow_empty, unary, endpoints = _spec(
+        instance, require_nonempty
+    )
+    for name in endpoints:
+        _validate_extension(af, unary[name], sigma, name, cap)
     start = time.perf_counter()
     stats = SolveStats()
     cap = resolve_cap(cap)
@@ -237,7 +273,7 @@ def _walk(
     # Otherwise a prf/sem layer keeps its admissible candidates and runs the
     # costly maximality check last, in canonical order, until one passes.
     deferred = not first_wins and sigma.needs_maximality
-    for d in range(first, min(last, len(inside) + len(outside)) + 1):
+    for d in range(first, last + 1):
         hits: list[int] = []
         low = (d + 2) // 2 if outside else d
         for a in range(max(low, d - len(outside)), min(d, len(inside)) + 1):
@@ -266,8 +302,7 @@ def solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int, cap: int | None = None
 ) -> SolveResult:
     """Is there a nonempty sigma-extension with at most k members?"""
-    sigma = small_instance(af, sigma, k).semantics
-    return _walk(af, sigma, cap, 0, 1, k, range(af.n))
+    return _walk(small_instance(af, sigma, k), cap, True)
 
 
 def solve_repair(
@@ -278,8 +313,7 @@ def solve_repair(
     cap: int | None = None,
 ) -> SolveResult:
     """Is there a nonempty sigma-extension within distance k of S?"""
-    sigma = repair_instance(af, s, sigma, k).semantics
-    return _walk(af, sigma, cap, s.mask, 0, k, range(af.n))
+    return _walk(repair_instance(af, s, sigma, k), cap, True)
 
 
 def _validate_extension(
@@ -303,14 +337,7 @@ def solve_adjust(
     require_nonempty: bool = False,
 ) -> SolveResult:
     """Is there a sigma-extension within distance k of E0 that flips target?"""
-    sigma = adjust_instance(af, e0, target, sigma, k).semantics
-    t = af.index_of(target)
-    _validate_extension(af, e0, sigma, "E0", cap)
-    others = [i for i in range(af.n) if i != t]
-    return _walk(
-        af, sigma, cap, e0.mask ^ 1 << t, 0, k - 1, others,
-        allow_empty=not require_nonempty,
-    )
+    return _walk(adjust_instance(af, e0, target, sigma, k), cap, require_nonempty)
 
 
 def solve_center(
@@ -321,22 +348,8 @@ def solve_center(
     cap: int | None = None,
     require_nonempty: bool = False,
 ) -> SolveResult:
-    """Is there a sigma-extension strictly closer than dist(E1,E2) to both?
-
-    The change-set parameter is k = dist(E1, E2).  Candidates are deltas
-    around E1; a delta with a members inside E1^E2 and b outside satisfies
-    the E2-side bound exactly when b <= a-1, so only those are walked.
-    """
-    sigma = center_instance(af, e1, e2, sigma).semantics
-    _validate_extension(af, e1, sigma, "E1", cap)
-    _validate_extension(af, e2, sigma, "E2", cap)
-    diff = e1.mask ^ e2.mask
-    w = [i for i in range(af.n) if diff >> i & 1]
-    rest = [i for i in range(af.n) if not diff >> i & 1]
-    return _walk(
-        af, sigma, cap, e1.mask, 1, len(w) - 1, w, rest,
-        allow_empty=not require_nonempty,
-    )
+    """Is there a sigma-extension strictly closer than dist(E1,E2) to both?"""
+    return _walk(center_instance(af, e1, e2, sigma), cap, require_nonempty)
 
 
 # -- branching route for Repair ------------------------------------------------
@@ -474,14 +487,6 @@ def solve_repair_branching(
 # load it.
 
 
-def _firstorder(sigma: Semantics):
-    """The firstorder module; raises UnsupportedSemantics for prf/sem."""
-    from . import firstorder
-
-    firstorder.sigma_of(sigma)
-    return firstorder
-
-
 def structure_of(af: ArgumentationFramework, **unary):
     """The instance structure of the fo scan (firstorder.structure_of)."""
     from . import firstorder
@@ -489,23 +494,47 @@ def structure_of(af: ArgumentationFramework, **unary):
     return firstorder.structure_of(af, **unary)
 
 
-def _fo_scan(instance: ProblemInstance, anchor: int, layers, **unary) -> SolveResult:
-    """Scan the layers, (witness variables, open body) pairs, in order over
-    the instance structure; the first model of the first layer that has one
-    names the arguments to flip in anchor, and that set is checked again.
-    The entries build the layers lazily, with the distances delta walks."""
-    from .firstorder import first_model
+def _fo_scan(instance: ProblemInstance, require_nonempty: bool) -> SolveResult:
+    """Scan the layers of the question's spec over the instance structure:
+    each layer's open body from firstorder, tried on the increasing tuples
+    of the pools that delta draws the layer's flips from.  The first model
+    of the first layer that has one names the arguments to flip in the
+    anchor, and that set is checked again."""
+    from . import firstorder
 
+    af, sigma, kind = instance.framework, instance.semantics, instance.kind
+    firstorder.sigma_of(sigma)  # raises UnsupportedSemantics for prf/sem
+    anchor, first, last, inside, outside, allow_empty, unary, endpoints = _spec(
+        instance, require_nonempty
+    )
+    for name in endpoints:
+        _validate_extension(af, unary[name], sigma, name)
     start = time.perf_counter()
     stats = SolveStats()
-    af, sigma = instance.framework, instance.semantics
     st = structure_of(af, **unary)
-    for variables, body in layers:
-        model, tried = first_model(st, body, variables)
+    pool = sorted(inside + outside)
+    out = set(outside)
+    nonempty = not allow_empty
+    for d in range(first, last + 1):
+        if kind is ProblemKind.SMALL:
+            variables, body = firstorder.small_body(sigma, d)
+        elif kind is ProblemKind.REPAIR:
+            variables, body = firstorder.repair_body(sigma, d, nonempty)
+        elif kind is ProblemKind.ADJUST:
+            variables, body = firstorder.adjust_body(sigma, d, nonempty)
+        else:
+            k = len(inside)
+            variables, body = firstorder.center_body(sigma, k, d, nonempty)
+        width = len(variables)  # d, the layer's flips
+        tuples = combinations(pool, width)
+        if out:
+            # b flips outside need b+1 inside: the center's bound on E2
+            tuples = (c for c in tuples if 2 * sum(i in out for i in c) < width)
+        model, tried = firstorder.first_model(st, body, variables, tuples)
         stats.candidates += tried
         if model is not None:
             result = _result(af, anchor ^ af.mask_of(model.values()), stats, start)
-            label = f"the fo {instance.kind.value} witness"
+            label = f"the fo {kind.value} witness"
             _validate_extension(af, result.witness, sigma, label)
             return result
     return _result(af, None, stats, start)
@@ -514,23 +543,14 @@ def _fo_scan(instance: ProblemInstance, anchor: int, layers, **unary) -> SolveRe
 def fo_solve_small(
     af: ArgumentationFramework, sigma: Semantics, k: int
 ) -> SolveResult:
-    instance = small_instance(af, sigma, k)
-    sigma = instance.semantics
-    fo = _firstorder(sigma)
-    layers = (fo.small_body(sigma, d) for d in range(1, min(k, af.n) + 1))
-    return _fo_scan(instance, 0, layers)
+    return _fo_scan(small_instance(af, sigma, k), True)
 
 
 def fo_solve_repair(
     af: ArgumentationFramework, s: ArgumentSet, sigma: Semantics, k: int
 ) -> SolveResult:
     """Repair via the corrected sentence: distance-d disjuncts, d = 0..k."""
-    instance = repair_instance(af, s, sigma, k)
-    sigma = instance.semantics
-    fo = _firstorder(sigma)
-    widths = range(min(k, af.n) + 1)
-    layers = (fo.repair_body(sigma, d, require_nonempty=True) for d in widths)
-    return _fo_scan(instance, s.mask, layers, S=s)
+    return _fo_scan(repair_instance(af, s, sigma, k), True)
 
 
 def fo_solve_adjust(
@@ -542,13 +562,7 @@ def fo_solve_adjust(
     *,
     require_nonempty: bool = False,
 ) -> SolveResult:
-    instance = adjust_instance(af, e0, target, sigma, k)
-    sigma = instance.semantics
-    fo = _firstorder(sigma)
-    _validate_extension(af, e0, sigma, "E0")
-    layers = (fo.adjust_body(sigma, d, require_nonempty) for d in range(min(k, af.n)))
-    anchor = e0.mask ^ 1 << af.index_of(target)
-    return _fo_scan(instance, anchor, layers, E0=e0, T=(target,))
+    return _fo_scan(adjust_instance(af, e0, target, sigma, k), require_nonempty)
 
 
 def fo_solve_center(
@@ -559,14 +573,7 @@ def fo_solve_center(
     *,
     require_nonempty: bool = False,
 ) -> SolveResult:
-    instance = center_instance(af, e1, e2, sigma)
-    sigma = instance.semantics
-    fo = _firstorder(sigma)
-    _validate_extension(af, e1, sigma, "E1")
-    _validate_extension(af, e2, sigma, "E2")
-    k = (e1.mask ^ e2.mask).bit_count()
-    layers = (fo.center_body(sigma, k, d, require_nonempty) for d in range(1, k))
-    return _fo_scan(instance, e1.mask, layers, E1=e1, E2=e2)
+    return _fo_scan(center_instance(af, e1, e2, sigma), require_nonempty)
 
 
 # -- dispatcher ------------------------------------------------------------------

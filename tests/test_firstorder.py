@@ -41,13 +41,11 @@ from argudyn.firstorder import (
     fresh_var,
     repair_body,
     repair_formula,
-    set_formula,
     sigma_of,
     small_body,
     small_formula,
     stb_of,
     structure_of,
-    sym_diff_of,
     unary_pred,
 )
 from conftest import random_framework
@@ -116,18 +114,6 @@ def test_sigma_of_rejects_maximality_semantics():
         with pytest.raises(UnsupportedSemantics) as err:
             sigma_of(sigma)
         assert sigma.value in str(err.value)
-
-
-def test_set_formula_and_sym_diff(f4):
-    st = structure_of(f4, S=f4.set_of(["a", "b"]), T=f4.set_of(["b", "c"]))
-    f = set_formula(2)
-    assert evaluate(st, f, {"y": "a", "x1": "a", "x2": "c"})
-    assert not evaluate(st, f, {"y": "b", "x1": "a", "x2": "c"})
-    diff = sym_diff_of(unary_pred("S"), unary_pred("T"))
-    holds = {v for v in "abcd" if evaluate(st, diff, {"y": v})}
-    assert holds == {"a", "c"}
-    with pytest.raises(InvalidArity):
-        set_formula(0)
 
 
 # Flipped over no relation, one, and the symmetric difference of two
@@ -348,6 +334,12 @@ def test_nested_at_most_agrees_with_its_nested_expansion():
             assert evaluate(st, node) == evaluate(st, oracle)
 
 
+def _increasing(st, variables):
+    """The tuples the fo engine passes first_model for a layer that may flip
+    any argument: the strictly increasing ones, in lexicographic order."""
+    return itertools.combinations(range(st.af.n), len(variables))
+
+
 def _increasing_scan(st, body, variables):
     """The reference scan: the assignments of the product order, the first
     variable slowest, whose values strictly increase in argument order, each
@@ -383,9 +375,10 @@ def test_first_model_finds_the_first_increasing_model_in_product_order():
                 layers += [center_body(sigma, k, d, nonempty)
                            for k in (2, 3, 4) for d in range(1, k)]
             for variables, body in layers:
-                assert first_model(st, body, variables) == _increasing_scan(
-                    st, body, variables
-                ), (n, sigma, variables)
+                got = first_model(st, body, variables, _increasing(st, variables))
+                assert got == _increasing_scan(st, body, variables), (
+                    n, sigma, variables
+                )
 
 
 def test_first_model_tries_interchangeable_variables_in_increasing_order():
@@ -393,11 +386,18 @@ def test_first_model_tries_interchangeable_variables_in_increasing_order():
     st = structure_of(af, U=("c",), W=("a",), B=("b",))
     # the only model is x1 = c, x2 = a: a decreasing pair, never tried
     body = And((App1("U", "x1"), App1("W", "x2")))
-    assert first_model(st, body, ("x1", "x2")) == (None, 3)
+    pair = ("x1", "x2")
+    assert first_model(st, body, pair, _increasing(st, pair)) == (None, 3)
+    # the tuples are the caller's: in product order the pair is the 7th
+    everything = itertools.product(range(3), repeat=2)
+    assert first_model(st, body, pair, everything) == ({"x1": "c", "x2": "a"}, 7)
     # the only model repeats b, and names a set of one argument
     body = And((App1("B", "x1"), App1("B", "x2")))
-    assert first_model(st, body, ("x1", "x2")) == (None, 3)
-    assert first_model(st, App1("B", "x1"), ("x1",)) == ({"x1": "b"}, 2)
+    assert first_model(st, body, pair, _increasing(st, pair)) == (None, 3)
+    single = ("x1",)
+    assert first_model(st, App1("B", "x1"), single, _increasing(st, single)) == (
+        {"x1": "b"}, 2
+    )
 
 
 def _t_led_adjust_body(sigma, k, require_nonempty):
@@ -431,7 +431,7 @@ def _t_led_models(st, body, variables):
 def _first_layer_model(st, layers):
     """The values of the first model of the first layer that has one."""
     for variables, body in layers:
-        model, _ = first_model(st, body, variables)
+        model, _ = first_model(st, body, variables, _increasing(st, variables))
         if model is not None:
             return set(model.values())
     return None
@@ -482,7 +482,7 @@ def test_a_deep_formula_raises_formula_too_deep(f1):
     with pytest.raises(FormulaTooDeep):
         evaluate(st, f, {"x": "a"})
     with pytest.raises(FormulaTooDeep):
-        first_model(st, f, ("x",))
+        first_model(st, f, ("x",), [(0,)])
 
 
 def test_problem_formula_arity_guards():

@@ -563,14 +563,27 @@ def test_fo_adjust_and_center_take_no_cap(f1):
 def test_fo_adjust_tries_only_nondecreasing_tuples():
     # only the target a0 attacks itself, so no admissible set flips it in
     # from E0 = {}: the scan walks the layers d = 0..k-1 and tries each
-    # strictly increasing d-tuple of the ten arguments once, C(10, d) of
-    # them, and no other
+    # strictly increasing d-tuple of the nine other arguments once, C(9, d)
+    # of them; no try holds the target
     names = [f"a{i}" for i in range(10)]
     af = ArgumentationFramework(names, [("a0", "a0")])
-    for k, tuples in ((1, 1), (2, 1 + 10), (3, 1 + 10 + 45)):
+    for k, tuples in ((1, 1), (2, 1 + 9), (3, 1 + 9 + 36)):
         res = fo_solve_adjust(af, af.set_of([]), "a0", Semantics.ADMISSIBLE, k)
         assert not res.answer
         assert res.stats.candidates == tuples
+
+
+def test_fo_center_tries_fewer_flips_outside_than_inside():
+    # E1 = {a0} and E2 = {a1} lie 2 apart, so the one layer flips one
+    # argument, and it must lie in E1 ^ E2: flipping a2..a9 leaves E2 two
+    # away.  Of the two tries, {} is empty and {a0, a1} not conflict-free.
+    names = [f"a{i}" for i in range(10)]
+    attacks = [("a0", "a1"), ("a1", "a0")] + [(x, x) for x in names[2:]]
+    af = ArgumentationFramework(names, attacks)
+    e1, e2 = af.set_of(["a0"]), af.set_of(["a1"])
+    res = fo_solve_center(af, e1, e2, Semantics.ADMISSIBLE, require_nonempty=True)
+    assert not res.answer
+    assert res.stats.candidates == 2
 
 
 def test_fo_rechecks_its_witness(monkeypatch):
