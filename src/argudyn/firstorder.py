@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .core import ArgumentationFramework, ArgumentSet, Semantics
+from .core import ArgumentationFramework, ArgumentSet, Semantics, iter_bits
 from .errors import (
     FormulaTooDeep,
     InvalidArity,
@@ -131,13 +131,17 @@ def unary_pred(rel: str) -> Pred:
 class Structure:
     """A framework as a finite relational structure: its arguments are the
     universe and its attacks the binary A; named unary sets are kept as
-    masks."""
+    masks.  It lists each argument's attackers and targets by index once,
+    for the guarded quantifiers."""
 
-    __slots__ = ("af", "unary")
+    __slots__ = ("af", "unary", "universe", "attackers", "targets", "__weakref__")
 
     def __init__(self, af: ArgumentationFramework, unary: Mapping[str, int]):
         self.af = af
         self.unary = unary
+        self.universe = range(af.n)
+        self.attackers = tuple(list(iter_bits(row)) for row in af.attackers)
+        self.targets = tuple(list(iter_bits(row)) for row in af.targets)
 
 
 def structure_of(
@@ -149,9 +153,24 @@ def structure_of(
 
 # -- evaluator ----------------------------------------------------------------
 #
-# A formula compiles to nested closures, so compiling and evaluating recurse
-# once per nested connective; past the interpreter's recursion limit both
-# raise FormulaTooDeep.
+# A formula compiles once, for its free variables, to nested closures over an
+# environment list, and the closures hold no structure.  Each run fills the
+# environment's leading slots from the structure it runs on: the universe
+# range, the attack rows, the attacker lists and the target lists.  The free
+# variables' slots follow; the slots of the unary masks, and of the symmetric
+# differences that Flipped reads, lie among the quantifiers' slots after
+# them.  So one program runs on any structure and keeps none alive.
+#
+# A quantifier whose body starts with an attack atom between its variable v
+# and a bound z, other than v, ranges over z's attackers or targets only:
+# ∃v (A(v,z) ∧ φ) and ∀v (A(v,z) ∧ φ → ψ), with A(z,v) in place of A(v,z)
+# or with no φ.  Every other quantifier ranges over the universe.
+#
+# Compiling and evaluating recurse about once per nested connective; past
+# the interpreter's recursion limit both raise FormulaTooDeep.
+
+_UNIVERSE, _ROWS, _ATTACKERS, _TARGETS = range(4)
+_LEADING = 4  # the slots a run fills from the structure
 
 
 def _slot(slots: dict[str, int], var: str) -> int:
@@ -168,98 +187,181 @@ def _unary(st: Structure, rel: str) -> int:
         raise ValueError(f"structure has no unary relation {rel!r}") from None
 
 
-def _compile(f: Formula, slots: dict[str, int], st: Structure, counter: list[int]):
-    if isinstance(f, Eq):
-        ia, ib = _slot(slots, f.left), _slot(slots, f.right)
-        return lambda env: env[ia] == env[ib]
-    if isinstance(f, App1):
-        mask = _unary(st, f.rel)
-        ix = _slot(slots, f.arg)
-        return lambda env: bool(mask >> env[ix] & 1)
-    if isinstance(f, Flipped):
-        mask = 0
-        for rel in f.rels:
-            mask ^= _unary(st, rel)
-        ix = _slot(slots, f.arg)
-        picks = [_slot(slots, v) for v in f.variables]
-        if not picks:
-            return lambda env: bool(mask >> env[ix] & 1)
-        if len(picks) == 1:
-            (i,) = picks
-            return lambda env: bool(mask >> env[ix] & 1) != (env[ix] == env[i])
-        named = itemgetter(*picks)
-
-        def flipped(env):
-            v = env[ix]
-            return bool(mask >> v & 1) != (v in named(env))
-        return flipped
-    if isinstance(f, App2):
-        if f.rel != "A":
-            raise ValueError(f"structure has no binary relation {f.rel!r}")
-        rows = st.af.targets
-        ia, ib = _slot(slots, f.left), _slot(slots, f.right)
-        return lambda env: bool(rows[env[ia]] >> env[ib] & 1)
-    if isinstance(f, Not):
-        sub = _compile(f.body, slots, st, counter)
-        return lambda env: not sub(env)
-    if isinstance(f, And):
-        subs = [_compile(i, slots, st, counter) for i in f.items]
-        if len(subs) == 2:
-            a, b = subs
-            return lambda env: a(env) and b(env)
-        return lambda env: all(s(env) for s in subs)
-    if isinstance(f, Or):
-        subs = [_compile(i, slots, st, counter) for i in f.items]
-        if len(subs) == 2:
-            a, b = subs
-            return lambda env: a(env) or b(env)
-        return lambda env: any(s(env) for s in subs)
-    if isinstance(f, Implies):
-        a = _compile(f.left, slots, st, counter)
-        b = _compile(f.right, slots, st, counter)
-        return lambda env: (not a(env)) or b(env)
-    # quantifiers and the counting node
-    slot = counter[0]
-    counter[0] += 1
-    body = _compile(f.body, {**slots, f.var: slot}, st, counter)
-    rng = range(st.af.n)
+def _guard(f: Formula, slots: dict[str, int]):
+    """(the neighbour lists' slot, z's slot, φ, ψ) when f is one of the
+    guarded shapes, with φ None when absent and ψ None under ∃; else None."""
     if isinstance(f, Exists):
-        def ex(env):
-            for val in rng:
-                env[slot] = val
-                if body(env):
-                    return True
-            return False
-        return ex
-    if isinstance(f, AtMost):
-        def am(env):
-            hits = 0
-            for val in rng:
-                env[slot] = val
-                if body(env):
-                    hits += 1
-                    if hits > f.k:
+        part, then = f.body, None
+    elif isinstance(f, Forall) and isinstance(f.body, Implies):
+        part, then = f.body.left, f.body.right
+    else:
+        return None
+    rest = None
+    if isinstance(part, And) and part.items:
+        part, rest = part.items[0], part.items[1:]
+        rest = conj(rest) if rest else None
+    if not (isinstance(part, App2) and part.rel == "A"):
+        return None
+    v = f.var
+    if part.left == v and part.right != v and part.right in slots:
+        return _ATTACKERS, slots[part.right], rest, then
+    if part.right == v and part.left != v and part.left in slots:
+        return _TARGETS, slots[part.left], rest, then
+    return None
+
+
+class Program:
+    """A formula compiled for the free variables named by `variables`, to
+    run on any structure."""
+
+    __slots__ = ("variables", "fn", "size", "masks")
+
+    def __init__(self, variables: Sequence[str], f: Formula):
+        self.variables = tuple(variables)
+        self.size = _LEADING + len(self.variables)
+        # the relations of each mask the formula reads, and its slot
+        self.masks: dict[tuple[str, ...], int] = {}
+        slots = {v: _LEADING + i for i, v in enumerate(self.variables)}
+        try:
+            self.fn = self._compile(f, slots)
+        except RecursionError:
+            raise FormulaTooDeep() from None
+
+    def _new_slot(self) -> int:
+        self.size += 1
+        return self.size - 1
+
+    def _mask(self, rels: tuple[str, ...]) -> int:
+        if rels not in self.masks:
+            self.masks[rels] = self._new_slot()
+        return self.masks[rels]
+
+    def _compile(self, f: Formula, slots: dict[str, int]):
+        if isinstance(f, Eq):
+            ia, ib = _slot(slots, f.left), _slot(slots, f.right)
+            return lambda env: env[ia] == env[ib]
+        if isinstance(f, App1):
+            im, ix = self._mask((f.rel,)), _slot(slots, f.arg)
+            return lambda env: bool(env[im] >> env[ix] & 1)
+        if isinstance(f, Flipped):
+            im, ix = self._mask(f.rels), _slot(slots, f.arg)
+            picks = [_slot(slots, v) for v in f.variables]
+            if not picks:
+                return lambda env: bool(env[im] >> env[ix] & 1)
+            if len(picks) == 1:
+                (i,) = picks
+                return lambda env: bool(env[im] >> env[ix] & 1) != (env[ix] == env[i])
+            named = itemgetter(*picks)
+
+            def flipped(env):
+                v = env[ix]
+                return bool(env[im] >> v & 1) != (v in named(env))
+            return flipped
+        if isinstance(f, App2):
+            if f.rel != "A":
+                raise ValueError(f"structure has no binary relation {f.rel!r}")
+            ia, ib = _slot(slots, f.left), _slot(slots, f.right)
+            return lambda env: bool(env[_ROWS][env[ia]] >> env[ib] & 1)
+        if isinstance(f, Not):
+            sub = self._compile(f.body, slots)
+            return lambda env: not sub(env)
+        if isinstance(f, And):
+            subs = [self._compile(i, slots) for i in f.items]
+            if len(subs) == 2:
+                a, b = subs
+                return lambda env: a(env) and b(env)
+            return lambda env: all(s(env) for s in subs)
+        if isinstance(f, Or):
+            subs = [self._compile(i, slots) for i in f.items]
+            if len(subs) == 2:
+                a, b = subs
+                return lambda env: a(env) or b(env)
+            return lambda env: any(s(env) for s in subs)
+        if isinstance(f, Implies):
+            a = self._compile(f.left, slots)
+            b = self._compile(f.right, slots)
+            return lambda env: (not a(env)) or b(env)
+        # quantifiers and the counting node
+        guard = _guard(f, slots)
+        slot = self._new_slot()
+        inner = {**slots, f.var: slot}
+        if guard is not None:
+            lists, iz, rest, then = guard
+            cond = None if rest is None else self._compile(rest, inner)
+            if then is None:
+                def guarded_ex(env):
+                    for val in env[lists][env[iz]]:
+                        env[slot] = val
+                        if cond is None or cond(env):
+                            return True
+                    return False
+                return guarded_ex
+            body = self._compile(then, inner)
+
+            def guarded_fa(env):
+                for val in env[lists][env[iz]]:
+                    env[slot] = val
+                    if (cond is None or cond(env)) and not body(env):
                         return False
-            return True
-        return am
-
-    def fa(env):
-        for val in rng:
-            env[slot] = val
-            if not body(env):
+                return True
+            return guarded_fa
+        body = self._compile(f.body, inner)
+        if isinstance(f, Exists):
+            def ex(env):
+                for val in env[_UNIVERSE]:
+                    env[slot] = val
+                    if body(env):
+                        return True
                 return False
-        return True
-    return fa
+            return ex
+        if isinstance(f, AtMost):
+            k = f.k
 
+            def am(env):
+                hits = 0
+                for val in env[_UNIVERSE]:
+                    env[slot] = val
+                    if body(env):
+                        hits += 1
+                        if hits > k:
+                            return False
+                return True
+            return am
 
-def _compiled(st: Structure, f: Formula, variables: Sequence[str]):
-    """f compiled with variables in the first slots, and an environment."""
-    counter = [len(variables)]
-    try:
-        fn = _compile(f, {v: i for i, v in enumerate(variables)}, st, counter)
-    except RecursionError:
-        raise FormulaTooDeep() from None
-    return fn, [0] * counter[0]
+        def fa(env):
+            for val in env[_UNIVERSE]:
+                env[slot] = val
+                if not body(env):
+                    return False
+            return True
+        return fa
+
+    def first_model(
+        self, st: Structure, tuples: Iterable[tuple[int, ...]]
+    ) -> tuple[dict[str, str] | None, int]:
+        """The first of tuples, each the argument indices to give the
+        variables, under which the formula holds in st, as an assignment;
+        and the number tried."""
+        env = [0] * self.size
+        env[:_LEADING] = st.universe, st.af.targets, st.attackers, st.targets
+        for rels, slot in self.masks.items():
+            mask = 0
+            for rel in rels:
+                mask ^= _unary(st, rel)
+            env[slot] = mask
+        fn, variables = self.fn, self.variables
+        end = _LEADING + len(variables)
+        universe = st.af.arguments
+        tried = 0
+        try:
+            for values in tuples:
+                tried += 1
+                env[_LEADING:end] = values
+                if fn(env):
+                    return dict(zip(variables, (universe[i] for i in values))), tried
+        except RecursionError:
+            raise FormulaTooDeep() from None
+        return None, tried
 
 
 def evaluate(
@@ -268,13 +370,9 @@ def evaluate(
     """Tarskian truth of f in st under the given free-variable assignment;
     a free variable the assignment leaves out raises UnboundVariable."""
     assignment = assignment or {}
-    values = [st.af.index_of(element) for element in assignment.values()]
-    fn, env = _compiled(st, f, list(assignment))
-    env[: len(values)] = values
-    try:
-        return fn(env)
-    except RecursionError:
-        raise FormulaTooDeep() from None
+    values = tuple(st.af.index_of(element) for element in assignment.values())
+    model, _ = Program(list(assignment), f).first_model(st, (values,))
+    return model is not None
 
 
 def first_model(
@@ -288,32 +386,22 @@ def first_model(
     caller chooses the tuples: the fo engine passes the strictly increasing
     ones of the arguments a layer may flip, so each set is tried once.
     """
-    fn, env = _compiled(st, body, variables)
-    width = len(variables)
-    universe = st.af.arguments
-    tried = 0
-    try:
-        for values in tuples:
-            tried += 1
-            env[:width] = values
-            if fn(env):
-                return dict(zip(variables, (universe[i] for i in values))), tried
-    except RecursionError:
-        raise FormulaTooDeep() from None
-    return None, tried
+    return Program(variables, body).first_model(st, tuples)
 
 
 # -- semantics transliterations ----------------------------------------------
 
 
-# The sigma builders test membership before they quantify further, so a
-# check over a small set makes one pass over the arguments per member, not
-# one per argument.
+# The sigma builders test membership before they quantify further, and put
+# the attack atom first under every inner quantifier, so the compiler loops
+# that quantifier over one argument's attackers or targets: a check over a
+# small set makes one pass over the arguments, plus a walk of each member's
+# neighbours.
 
 
 def cf_of(p: Pred) -> Formula:
     x, y = fresh_var(), fresh_var()
-    return Forall(x, Implies(p(x), Forall(y, Implies(p(y), Not(attacks(x, y))))))
+    return Forall(x, Implies(p(x), Forall(y, Implies(attacks(x, y), Not(p(y))))))
 
 
 def adm_of(p: Pred) -> Formula:
@@ -335,13 +423,14 @@ def adm_of(p: Pred) -> Formula:
 
 
 def com_of(p: Pred) -> Formula:
-    a, x1, x2, z = fresh_var(), fresh_var(), fresh_var(), fresh_var()
+    a, x1, x2, x3, z = (fresh_var() for _ in range(5))
     all_attackers_countered = Forall(
-        a, Implies(attacks(a, z), Exists(x1, And((p(x1), attacks(x1, a)))))
+        a, Implies(attacks(a, z), Exists(x1, And((attacks(x1, a), p(x1)))))
     )
-    no_conflict_with = Forall(
-        x2, Implies(p(x2), Not(Or((attacks(x2, z), attacks(z, x2)))))
-    )
+    no_conflict_with = And((
+        Forall(x2, Implies(attacks(x2, z), Not(p(x2)))),
+        Forall(x3, Implies(attacks(z, x3), Not(p(x3)))),
+    ))
     closure = Forall(
         z, Or((p(z), Not(And((no_conflict_with, all_attackers_countered)))))
     )

@@ -21,6 +21,7 @@ membership check, sigma_member_mask, that the engines use.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -494,12 +495,59 @@ def structure_of(af: ArgumentationFramework, **unary):
     return firstorder.structure_of(af, **unary)
 
 
+@functools.cache
+def _fo_program(build, *args):
+    """The program of the layer body build(*args), compiled once per
+    process and kept for every later solve of that shape: a patched
+    builder is another key, and a program holds no structure."""
+    from . import firstorder
+
+    return firstorder.Program(*build(*args))
+
+
+def _few_outside(
+    pool: list[int], outside: set[int], width: int
+) -> Iterator[tuple[int, ...]]:
+    """The strictly increasing width-tuples of the sorted pool that hold b
+    members of outside and at least b+1 others, in lexicographic order.  A
+    prefix is extended only while some such tuple still extends it, so the
+    walk costs at most a pass over pool per prefix, not C(|pool|, width).
+    The open prefixes sit on an explicit stack, each with the next position
+    it has to try and its b."""
+    most = (width - 1) // 2  # the most members of outside a tuple may hold
+    size = len(pool)
+    # others_after[p]: the members of pool[p:] not in outside
+    others_after = [0] * (size + 1)
+    for p in range(size - 1, -1, -1):
+        others_after[p] = others_after[p + 1] + (pool[p] not in outside)
+    stack = [[(), 0, 0]]  # each: a prefix, its next position, its b
+    while stack:
+        frame = stack[-1]
+        prefix, p, b = frame
+        left = width - len(prefix) - 1  # the picks after this one
+        while p < size:
+            w = pool[p]
+            p += 1
+            c = b + (w in outside)
+            others = others_after[p]
+            if c <= most and others + min(size - p - others, most - c) >= left:
+                break
+        else:
+            stack.pop()
+            continue
+        frame[1] = p
+        if left:
+            stack.append([prefix + (w,), p, c])
+        else:
+            yield prefix + (w,)
+
+
 def _fo_scan(instance: ProblemInstance, require_nonempty: bool) -> SolveResult:
     """Scan the layers of the question's spec over the instance structure:
-    each layer's open body from firstorder, tried on the increasing tuples
-    of the pools that delta draws the layer's flips from.  The first model
-    of the first layer that has one names the arguments to flip in the
-    anchor, and that set is checked again."""
+    each layer's open body from firstorder, as its cached program, tried on
+    the increasing tuples of the pools that delta draws the layer's flips
+    from.  The first model of the first layer that has one names the
+    arguments to flip in the anchor, and that set is checked again."""
     from . import firstorder
 
     af, sigma, kind = instance.framework, instance.semantics, instance.kind
@@ -517,20 +565,21 @@ def _fo_scan(instance: ProblemInstance, require_nonempty: bool) -> SolveResult:
     nonempty = not allow_empty
     for d in range(first, last + 1):
         if kind is ProblemKind.SMALL:
-            variables, body = firstorder.small_body(sigma, d)
+            program = _fo_program(firstorder.small_body, sigma, d)
         elif kind is ProblemKind.REPAIR:
-            variables, body = firstorder.repair_body(sigma, d, nonempty)
+            program = _fo_program(firstorder.repair_body, sigma, d, nonempty)
         elif kind is ProblemKind.ADJUST:
-            variables, body = firstorder.adjust_body(sigma, d, nonempty)
+            program = _fo_program(firstorder.adjust_body, sigma, d, nonempty)
         else:
             k = len(inside)
-            variables, body = firstorder.center_body(sigma, k, d, nonempty)
-        width = len(variables)  # d, the layer's flips
-        tuples = combinations(pool, width)
+            program = _fo_program(firstorder.center_body, sigma, k, d, nonempty)
+        width = len(program.variables)  # d, the layer's flips
+        # b flips outside need b+1 inside: the center's bound on E2
         if out:
-            # b flips outside need b+1 inside: the center's bound on E2
-            tuples = (c for c in tuples if 2 * sum(i in out for i in c) < width)
-        model, tried = firstorder.first_model(st, body, variables, tuples)
+            tuples = _few_outside(pool, out, width)
+        else:
+            tuples = combinations(pool, width)
+        model, tried = program.first_model(st, tuples)
         stats.candidates += tried
         if model is not None:
             result = _result(af, anchor ^ af.mask_of(model.values()), stats, start)

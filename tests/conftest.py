@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -44,6 +45,22 @@ def random_framework(rng: random.Random, n: int, self_prob=0.2, edge_prob=0.25):
         if a != b and rng.random() < edge_prob
     ]
     return ArgumentationFramework(names, attacks)
+
+
+def python_calls(run):
+    """run's result and the number of Python calls it made."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(count)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
 
 
 @pytest.fixture

@@ -48,7 +48,7 @@ from argudyn.firstorder import (
     structure_of,
     unary_pred,
 )
-from conftest import random_framework
+from conftest import python_calls, random_framework
 from oracles import (
     oracle_admissible,
     oracle_complete,
@@ -233,11 +233,36 @@ def _quantify_first_stb(p):
     return And((_quantify_first_cf(p), covers))
 
 
+# The shapes of cf_of and com_of before their inner quantifiers led with the
+# attack atom, so that no guard applies to them.
+
+
+def _pre_guard_cf(p):
+    x, y = fresh_var(), fresh_var()
+    return Forall(x, Implies(p(x), Forall(y, Implies(p(y), Not(attacks(x, y))))))
+
+
+def _pre_guard_com(p):
+    a, x1, x2, z = fresh_var(), fresh_var(), fresh_var(), fresh_var()
+    all_attackers_countered = Forall(
+        a, Implies(attacks(a, z), Exists(x1, And((p(x1), attacks(x1, a)))))
+    )
+    no_conflict_with = Forall(
+        x2, Implies(p(x2), Not(Or((attacks(x2, z), attacks(z, x2)))))
+    )
+    closure = Forall(
+        z, Or((p(z), Not(And((no_conflict_with, all_attackers_countered)))))
+    )
+    return And((adm_of(p), closure))
+
+
 _BUILDERS_AND_ORACLES = (
     (cf_of, _quantify_first_cf),
     (adm_of, _quantify_first_adm),
     (com_of, _quantify_first_com),
     (stb_of, _quantify_first_stb),
+    (cf_of, _pre_guard_cf),
+    (com_of, _pre_guard_com),
 )
 
 
@@ -257,6 +282,78 @@ def test_membership_first_builders_agree_with_their_former_shapes():
                 new, old = build(flipped), former(flipped)
                 agree = And((Implies(new, old), Implies(old, new)))
                 assert evaluate(st, _closed(Forall, ("x1", "x2"), agree))
+
+
+# -- guarded quantifiers
+
+
+def _guarded_and_moved(v, z):
+    """Each guarded shape over v and the bound z, paired with the same
+    formula with its attack atom moved second, where no guard applies.  The
+    conjunct reads the free w; the consequent nests a guard of its own."""
+    conjunct = Or((App1("S", v), attacks("w", v)))
+    then = Exists("u", And((attacks("u", v), Not(Eq("u", z)))))
+    true = Eq(v, v)
+    pairs = []
+    for atom in (attacks(v, z), attacks(z, v)):
+        pairs += [
+            (Exists(v, And((atom, conjunct))), Exists(v, And((conjunct, atom)))),
+            (Exists(v, atom), Exists(v, And((true, atom)))),
+            (Forall(v, Implies(atom, then)),
+             Forall(v, Implies(And((true, atom)), then))),
+            (Forall(v, Implies(And((atom, conjunct)), then)),
+             Forall(v, Implies(And((conjunct, atom)), then))),
+        ]
+    return pairs
+
+
+def test_each_guarded_shape_agrees_with_its_unguarded_form():
+    rng = random.Random(71)
+    self_attacks = 0
+    for trial in range(30):
+        af = random_framework(rng, 1 + trial % 5, self_prob=0.4)
+        self_attacks += sum(a == b for a, b in af.attacks)
+        st = structure_of(af, S=af.set_from_mask(rng.getrandbits(af.n)))
+        for guarded, moved in _guarded_and_moved("v", "z"):
+            for z, w in itertools.product(af.arguments, repeat=2):
+                assignment = {"z": z, "w": w}
+                assert evaluate(st, guarded, assignment) == evaluate(
+                    st, moved, assignment
+                ), (trial, guarded, assignment)
+    assert self_attacks
+
+
+def test_a_guarded_quantifier_ranges_over_neighbours_only():
+    # 60 arguments and one attack, and f decided for every z: a guarded
+    # quantifier visits z's few neighbours, the unguarded one all 60
+    names = [f"a{i}" for i in range(60)]
+    af = ArgumentationFramework(names, [("a0", "a1")])
+    st = structure_of(af, S=af.set_of(names[::2]))
+    for guarded, moved in _guarded_and_moved("v", "z"):
+        calls = []
+        for f in (guarded, moved):
+            every_z = AtMost("z", len(names), f)
+            _, count = python_calls(lambda: evaluate(st, every_z, {"w": "a0"}))
+            calls.append(count)
+        assert calls[0] * 10 < calls[1], (guarded, calls)
+
+
+def test_a_guard_needs_a_bound_attack_partner(f1):
+    loop = ArgumentationFramework(("a", "b"), [("a", "b"), ("b", "b")])
+    st = structure_of(loop, S=loop.set_of(["a"]))
+    # A(v, v) relates v to itself, not to a bound z: the quantifier ranges
+    # over all arguments, also when an outer v is bound
+    assert evaluate(st, Exists("v", attacks("v", "v")))
+    assert not evaluate(structure_of(f1), Exists("v", attacks("v", "v")))
+    for outer in loop.arguments:
+        assert evaluate(st, Exists("v", attacks("v", "v")), {"v": outer})
+        looped_are_in_s = Forall("v", Implies(attacks("v", "v"), App1("S", "v")))
+        assert not evaluate(st, looped_are_in_s, {"v": outer})
+    # a guard on an unbound z is still a formula with a free variable
+    for f in (Exists("v", And((attacks("v", "z"), App1("S", "v")))),
+              Forall("v", Implies(attacks("z", "v"), App1("S", "v")))):
+        with pytest.raises(UnboundVariable):
+            evaluate(st, f)
 
 
 def test_at_most_counts_distinct_elements(f4):

@@ -1,5 +1,5 @@
 import random
-import sys
+import weakref
 
 import pytest
 
@@ -21,6 +21,7 @@ from argudyn import (
     small_instance,
 )
 from argudyn import enumeration, firstorder, solvers
+from argudyn.core import iter_bits
 from argudyn.firstorder import (
     Eq,
     Forall,
@@ -38,7 +39,7 @@ from argudyn.solvers import (
     fo_solve_small,
     solve_repair_branching,
 )
-from conftest import random_framework
+from conftest import planted_framework, python_calls, random_framework
 from oracles import (
     oracle_adjust,
     oracle_center,
@@ -646,19 +647,87 @@ def test_fo_center_tests_membership_before_it_quantifies():
     names = [f"a{i}" for i in range(100)]
     af = ArgumentationFramework(names, [])
     e1, e2 = af.set_of([]), af.set_of(names)
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call"
-
-    sys.setprofile(count)
-    try:
-        res = fo_solve_center(af, e1, e2, Semantics.ADMISSIBLE)
-    finally:
-        sys.setprofile(None)
+    res, calls = python_calls(
+        lambda: fo_solve_center(af, e1, e2, Semantics.ADMISSIBLE)
+    )
     assert res.answer and res.witness.names == ("a0",)
     assert calls < 20_000
+
+
+def test_fo_center_draws_only_the_tuples_it_tries():
+    # a stable NO center on 200 arguments: E1 = {a0, a1} and E2 = {a2, a3}
+    # lie 4 apart, and the layers d = 1..3 try the 1,190 tuples with fewer
+    # flips outside E1 ^ E2 than inside.  A solve that walked all 1,333,500
+    # tuples of d = 1..3 and filtered them made 5.7 million Python calls;
+    # drawing the tried ones directly takes about 0.3 million.
+    names = [f"a{i}" for i in range(200)]
+    attacks = [(a, b) for a in ("a0", "a1") for b in ("a2", "a3")]
+    attacks += [(b, a) for a, b in attacks]
+    attacks += [(a, x) for a in ("a0", "a2") for x in names[4:]]
+    attacks += [(x, x) for x in names[4:]]
+    af = ArgumentationFramework(names, attacks)
+    e1, e2 = af.set_of(["a0", "a1"]), af.set_of(["a2", "a3"])
+    res, calls = python_calls(
+        lambda: fo_solve_center(af, e1, e2, Semantics.STABLE)
+    )
+    assert not res.answer and res.stats.candidates == 1_190
+    assert not solve_center(af, e1, e2, Semantics.STABLE).answer
+    assert calls < 600_000
+
+
+def test_fo_stable_repair_at_400_arguments_walks_neighbour_lists():
+    # a planted stable set of a degree-3 framework, less its first two
+    # members: the layer d = 2 finds a repair.  With every inner quantifier
+    # over all arguments, n = 100 alone took 4.2 million Python calls; with
+    # the guarded ones, n = 400 takes about 1.3 million.
+    af, planted = planted_framework(random.Random(0), 400)
+    s = planted
+    for m in list(iter_bits(planted))[:2]:
+        s ^= 1 << m
+    start = af.set_from_mask(s)
+    res, calls = python_calls(
+        lambda: fo_solve_repair(af, start, Semantics.STABLE, 2)
+    )
+    assert res.answer
+    assert res.witness == solve_repair(af, start, Semantics.STABLE, 2).witness
+    assert calls < 3_000_000
+
+
+def test_a_cached_layer_program_answers_for_each_structure():
+    # one program of repair's stb layer d = 1, run on three structures in
+    # turn, twice: each run reads its own structure's universe, rows and
+    # masks
+    program = solvers._fo_program(firstorder.repair_body, Semantics.STABLE, 1, True)
+    assert program is solvers._fo_program(
+        firstorder.repair_body, Semantics.STABLE, 1, True
+    )
+    pair = ArgumentationFramework(("a", "b"), [("a", "b"), ("b", "a")])
+    chain = ArgumentationFramework(("a", "b", "c"), [("a", "b"), ("b", "c")])
+    runs = (
+        (structure_of(pair, S=pair.set_of([])), ({"x1": "a"}, 1)),
+        (structure_of(chain, S=chain.set_of(["a"])), ({"x1": "c"}, 3)),
+        (structure_of(chain, S=chain.set_of(["b"])), (None, 3)),
+    )
+    for st, expected in runs * 2:
+        tuples = [(i,) for i in range(st.af.n)]
+        assert program.first_model(st, tuples) == expected
+
+
+def test_a_solve_keeps_no_structure_alive(monkeypatch):
+    # the cached programs read each structure from their run's environment,
+    # so the structure dies with the solve
+    refs = []
+
+    def recording(af, **unary):
+        st = firstorder.structure_of(af, **unary)
+        refs.append(weakref.ref(st))
+        return st
+
+    monkeypatch.setattr(solvers, "structure_of", recording)
+    pair = ArgumentationFramework(("a", "b"), [("a", "b"), ("b", "a")])
+    res = fo_solve_repair(pair, pair.set_of([]), Semantics.STABLE, 1)
+    assert res.answer
+    assert len(refs) == 1 and refs[0]() is None
 
 
 def test_instance_parameter_and_validation(f1, f4):
