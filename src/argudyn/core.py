@@ -63,6 +63,7 @@ class ArgumentationFramework:
         "attackers",
         "targets",
         "_index",
+        "_indices",
         "_hash",
     )
 
@@ -98,6 +99,7 @@ class ArgumentationFramework:
         # arguments it attacks
         self.attackers = tuple(attackers)
         self.targets = tuple(targets)
+        self._indices = None  # the index tuples, built on first use
         self._hash = hash((args, self.attacks))
 
     # -- identity ---------------------------------------------------------
@@ -114,6 +116,33 @@ class ArgumentationFramework:
 
     def __repr__(self) -> str:
         return f"ArgumentationFramework({len(self.arguments)} args, {len(self.attacks)} attacks)"
+
+    # -- index tuples -----------------------------------------------------
+
+    @property
+    def attacker_indices(self) -> tuple[tuple[int, ...], ...]:
+        """One tuple per argument: the indices of its attackers, increasing."""
+        return self._index_tuples()[0]
+
+    @property
+    def target_indices(self) -> tuple[tuple[int, ...], ...]:
+        """One tuple per argument: the indices of its targets, increasing."""
+        return self._index_tuples()[1]
+
+    def _index_tuples(self):
+        # built from the attacks on first use and kept: the engines that walk
+        # neighbours read them, the bit-row checks never do
+        if self._indices is None:
+            index = self._index
+            attackers: list[list[int]] = [[] for _ in range(self.n)]
+            targets: list[list[int]] = [[] for _ in range(self.n)]
+            for i, j in sorted([(index[s], index[d]) for s, d in self.attacks]):
+                targets[i].append(j)
+                attackers[j].append(i)
+            self._indices = (
+                tuple(map(tuple, attackers)), tuple(map(tuple, targets))
+            )
+        return self._indices
 
     # -- lookups ----------------------------------------------------------
 

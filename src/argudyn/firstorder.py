@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .core import ArgumentationFramework, ArgumentSet, Semantics, iter_bits
+from .core import ArgumentationFramework, ArgumentSet, Semantics
 from .errors import (
     FormulaTooDeep,
     InvalidArity,
@@ -131,17 +131,14 @@ def unary_pred(rel: str) -> Pred:
 class Structure:
     """A framework as a finite relational structure: its arguments are the
     universe and its attacks the binary A; named unary sets are kept as
-    masks.  It lists each argument's attackers and targets by index once,
-    for the guarded quantifiers."""
+    masks.  The guarded quantifiers read the framework's index tuples."""
 
-    __slots__ = ("af", "unary", "universe", "attackers", "targets", "__weakref__")
+    __slots__ = ("af", "unary", "universe", "__weakref__")
 
     def __init__(self, af: ArgumentationFramework, unary: Mapping[str, int]):
         self.af = af
         self.unary = unary
         self.universe = range(af.n)
-        self.attackers = tuple(list(iter_bits(row)) for row in af.attackers)
-        self.targets = tuple(list(iter_bits(row)) for row in af.targets)
 
 
 def structure_of(
@@ -156,7 +153,7 @@ def structure_of(
 # A formula compiles once, for its free variables, to nested closures over an
 # environment list, and the closures hold no structure.  Each run fills the
 # environment's leading slots from the structure it runs on: the universe
-# range, the attack rows, the attacker lists and the target lists.  The free
+# range, the attack rows, the attacker and the target index tuples.  The free
 # variables' slots follow; the slots of the unary masks, and of the symmetric
 # differences that Flipped reads, lie among the quantifiers' slots after
 # them.  So one program runs on any structure and keeps none alive.
@@ -343,7 +340,10 @@ class Program:
         variables, under which the formula holds in st, as an assignment;
         and the number tried."""
         env = [0] * self.size
-        env[:_LEADING] = st.universe, st.af.targets, st.attackers, st.targets
+        af = st.af
+        env[:_LEADING] = (
+            st.universe, af.targets, af.attacker_indices, af.target_indices
+        )
         for rels, slot in self.masks.items():
             mask = 0
             for rel in rels:
@@ -351,7 +351,7 @@ class Program:
             env[slot] = mask
         fn, variables = self.fn, self.variables
         end = _LEADING + len(variables)
-        universe = st.af.arguments
+        universe = af.arguments
         tried = 0
         try:
             for values in tuples:
@@ -490,11 +490,13 @@ def _flip_body(
     sigma: Semantics, rels: tuple[str, ...], variables: tuple[str, ...],
     extra: tuple[Formula, ...], require_nonempty: bool,
 ) -> tuple[tuple[str, ...], Formula]:
-    """The extra conjuncts, and: rels' symmetric difference with the
-    variables' values flipped is a sigma-extension."""
+    """rels' symmetric difference with the variables' values flipped is a
+    sigma-extension, and the extra conjuncts hold.  The sigma test comes
+    first: it turns most tries down after a pass over few arguments, where
+    center's AtMost passes over all of them."""
     def pred(v: str) -> Formula:
         return Flipped(rels, variables, v)
-    items = extra + (sigma_of(sigma)(pred),)
+    items = (sigma_of(sigma)(pred),) + extra
     if require_nonempty:
         y = fresh_var()
         items += (Exists(y, pred(y)),)

@@ -16,7 +16,8 @@ equivalence checks in the gadget tests use that mode).
 
 Each entry validates its question with its problem's instances constructor.
 enumerate_extensions lists a semantics' extensions through the same
-membership check, sigma_member_mask, that the engines use.
+membership check, sigma_member_mask, that delta and fo use; branching reads
+membership off the defect masks of one whole-set scan.
 """
 
 from __future__ import annotations
@@ -25,14 +26,13 @@ import functools
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 
 from .core import (
     ArgumentationFramework,
     ArgumentSet,
     Semantics,
     adm_mask,
-    attacked_mask,
     cf_mask,
     com_mask,
     iter_bits,
@@ -356,8 +356,60 @@ def solve_center(
 # -- branching route for Repair ------------------------------------------------
 
 
+# bytes of binary digits to bytes of 0/1 marks, and back
+_MARKS = bytes.maketrans(b"01", b"\0\1")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _mask_of(marks: bytearray) -> int:
+    """The mask of a 0/1 mark per argument, read in one C-level step."""
+    return int(marks[::-1].translate(_DIGITS), 2)
+
+
+def _scan(af: ArgumentationFramework, e: int) -> tuple[int, tuple[int, ...]]:
+    """e's attacked mask and its defect masks, as _defects finds them on the
+    whole framework, in one O(n + m) pass: e's binary digits are read once,
+    and each member's targets and attackers are walked through the
+    framework's index tuples against 0/1 marks, where walking e's bits would
+    copy the n-bit mask once per member."""
+    n = af.n
+    attackers = af.attacker_indices
+    targets = af.target_indices
+    inside = f"{e:0{n}b}"[::-1].encode().translate(_MARKS)
+    # each mark array holds a trailing 0, so that it parses even when n = 0
+    hit = bytearray(n + 1)
+    clash = bytearray(n + 1)
+    undefended = bytearray(n + 1)
+    unattacked = bytearray(n + 1)
+    defended = bytearray(n + 1)
+    members = list(compress(range(n), inside))
+    for i in members:
+        for t in targets[i]:
+            hit[t] = 1
+            if inside[t]:
+                clash[i] = 1
+    for i in members:
+        for a in attackers[i]:
+            if not hit[a]:
+                undefended[i] = 1
+                break
+    attacked = _mask_of(hit)
+    # the uncovered outsiders: the 0 digits of e | attacked
+    covered = f"{e | attacked:0{n}b}"[::-1]
+    z = covered.find("0", 0, n)
+    while z >= 0:
+        unattacked[z] = 1
+        for a in attackers[z]:
+            if not hit[a]:
+                break
+        else:
+            defended[z] = 1
+        z = covered.find("0", z + 1, n)
+    return attacked, tuple(map(_mask_of, (clash, undefended, unattacked, defended)))
+
+
 def _defects(
-    af: ArgumentationFramework, e: int, attacked: int, region: int, masks=(0,) * 4
+    af: ArgumentationFramework, e: int, attacked: int, region: int, masks
 ) -> tuple[int, ...]:
     """The defect masks of e, given the arguments it attacks: its clash
     sources (members attacking a member), undefended members, unattacked
@@ -436,11 +488,13 @@ def solve_repair_branching(
     The open nodes sit on an explicit stack, children pushed in reverse so
     that they are visited in move order.
 
-    S's defects are found once.  Whether x is a defect depends only on the
-    set at x, its attackers, its targets and its attackers' attackers, so a
-    stack entry holds its flips, its last flip and its parent's set,
-    attacked mask and defect masks, and the node looks again only at its
-    last flip, that flip's attackers, its targets and their targets.
+    S's defects are found once, by one O(n + m) scan.  Whether x is a
+    defect depends only on the set at x, its attackers, its targets and its
+    attackers' attackers, so a stack entry holds its flips, its last flip
+    and its parent's set, attacked mask and defect masks, and the node looks
+    again only at its last flip, that flip's attackers, its targets and
+    their targets.  A set with no defect is scanned again from scratch
+    before it is returned.
     """
     sigma = repair_instance(af, s, sigma, k).semantics
     if sigma.needs_maximality:
@@ -452,9 +506,7 @@ def solve_repair_branching(
     attackers = af.attackers
     targets = af.targets
     anchor = s.mask
-    attacked = attacked_mask(af, anchor)
-    # an attacked outsider has no defect, so the scan skips them
-    defects = _defects(af, anchor, attacked, af.full_mask & (anchor | ~attacked))
+    attacked, defects = _scan(af, anchor)
     stack = [(0, 0, anchor, attacked, defects)]
     while stack:
         flips, bit, e, attacked, defects = stack.pop()
@@ -473,7 +525,9 @@ def solve_repair_branching(
             defects = _defects(af, e, attacked, region, defects)
         moves = _moves(af, sigma, e, defects)
         if moves is None:
-            if sigma_member_mask(af, e, sigma):
+            # checked again from scratch: a nonempty set with no defect is
+            # a sigma-extension
+            if _moves(af, sigma, e, _scan(af, e)[1]) is None:
                 return _result(af, e, stats, start)
         elif flips.bit_count() < k:
             for bit in reversed(moves):

@@ -12,8 +12,10 @@ from argudyn import (
     solve_small,
 )
 from argudyn import core, solvers
-from argudyn.solvers import solve_repair_branching
-from conftest import planted_framework, random_framework
+from argudyn.core import iter_bits
+from argudyn.solvers import sigma_member_mask, solve_repair_branching
+from conftest import planted_framework, python_calls, random_framework
+from oracles import oracle_admissible, oracle_complete, oracle_stable
 
 SIGMAS = (Semantics.ADMISSIBLE, Semantics.COMPLETE, Semantics.STABLE)
 
@@ -119,8 +121,9 @@ def test_branching_depth_is_not_bounded_by_the_recursion_limit():
 
 
 def test_a_node_rechecks_only_around_its_last_flip(monkeypatch):
-    # after the start set's pass, each _defects call looks at one flip, its
-    # partner and nothing else, however deep its node sits
+    # the start set's defects come from one scan, so every _defects call is
+    # a node's, and each looks at one flip, its partner and nothing else,
+    # however deep its node sits
     pairs = 1050
     names = [f"{side}{i}" for i in range(pairs) for side in "xy"]
     attacks = [(f"x{i}", f"y{i}") for i in range(pairs)]
@@ -136,7 +139,7 @@ def test_a_node_rechecks_only_around_its_last_flip(monkeypatch):
     monkeypatch.setattr(solvers, "_defects", counting)
     res = solve_repair_branching(af, af.full_set(), Semantics.ADMISSIBLE, pairs)
     assert res.stats.nodes == pairs + 1
-    assert sum(regions[1:]) <= 8 * res.stats.nodes, sum(regions[1:])
+    assert sum(regions) <= 8 * res.stats.nodes, sum(regions)
 
 
 def _planted_starts(rng, n, p, count):
@@ -174,24 +177,97 @@ def test_branching_trace_is_pinned():
 
 
 def test_branching_makes_two_whole_set_passes_per_solve(monkeypatch):
-    # the anchor's defects take one pass, the YES re-check another; the
-    # nodes in between look only around their flips
-    calls = []
-    original = core.attacked_mask
+    # the anchor's scan and the YES re-check's scan are the two whole-set
+    # passes; the nodes in between look only around their flips, and no
+    # bit-row check runs
+    scans = []
+    original = solvers._scan
 
     def counting(af, mask):
-        calls.append(mask)
+        scans.append(mask)
         return original(af, mask)
 
-    monkeypatch.setattr(core, "attacked_mask", counting)
-    monkeypatch.setattr(solvers, "attacked_mask", counting)
+    def forbidden(*args):
+        raise AssertionError("branching ran a bit-row check")
+
+    monkeypatch.setattr(solvers, "_scan", counting)
+    monkeypatch.setattr(core, "attacked_mask", forbidden)
+    monkeypatch.setattr(solvers, "sigma_member_mask", forbidden)
     af, p = planted_framework(random.Random(11), 2000)
     seen = 0
     for s in _planted_starts(random.Random(12), af.n, p, 12):
         for sigma in SIGMAS:
-            calls.clear()
+            scans.clear()
             res = solve_repair_branching(af, af.set_from_mask(s), sigma, 4)
             assert res.answer
-            assert len(calls) <= 2, (sigma, res.stats.nodes, len(calls))
+            assert len(scans) == 2, (sigma, res.stats.nodes, len(scans))
             seen = max(seen, res.stats.nodes)
     assert seen >= 5
+
+
+def _no_defect(sigma, defects):
+    """sigma's membership read off a set's defect masks."""
+    clash, undefended, unattacked, defended = defects
+    extra = {
+        Semantics.ADMISSIBLE: 0,
+        Semantics.COMPLETE: defended,
+        Semantics.STABLE: unattacked,
+    }[sigma]
+    return not (clash or undefended or extra)
+
+
+def _scan_cases():
+    """(framework, set mask) pairs: every subset of a seeded random
+    framework, self-attacks included, for each n = 0..10, and sets around
+    the planted stable set of two planted frameworks."""
+    rng = random.Random(2024)
+    for n in range(11):
+        af = random_framework(rng, n)
+        for mask in range(1 << n):
+            yield af, mask
+    for seed, n in ((3, 60), (5, 150)):
+        af, p = planted_framework(random.Random(seed), n)
+        yield af, 0
+        yield af, p
+        for s in _planted_starts(random.Random(seed), n, p, 12):
+            yield af, s
+        for _ in range(6):
+            yield af, rng.randrange(1 << n)
+
+
+def test_the_scan_finds_what_the_bit_row_checks_find():
+    cases = 0
+    for af, mask in _scan_cases():
+        cases += 1
+        attacked = core.attacked_mask(af, mask)
+        masks = solvers._defects(af, mask, attacked, af.full_mask, (0,) * 4)
+        assert solvers._scan(af, mask) == (attacked, masks), (af, mask)
+        args, attacks = af.arguments, af.attacks
+        e = frozenset(af.set_from_mask(mask))
+        oracle = {
+            Semantics.ADMISSIBLE: oracle_admissible(attacks, e),
+            Semantics.COMPLETE: oracle_complete(args, attacks, e),
+            Semantics.STABLE: oracle_stable(args, attacks, e),
+        }
+        for sigma in SIGMAS:
+            member = _no_defect(sigma, masks)
+            assert member == sigma_member_mask(af, mask, sigma), (af, mask, sigma)
+            assert member == oracle[sigma], (af, mask, sigma)
+    assert cases == 2047 + 2 * 20
+
+
+def test_a_branching_solve_at_ten_thousand_arguments_makes_few_python_calls():
+    # the planted stable set less two members: its scan, three nodes and the
+    # re-check take under a hundred Python calls.  A walk of the set's bits
+    # makes one call per member, 2,918 here.
+    af, planted = planted_framework(random.Random(0), 10_000)
+    s = planted
+    for m in list(iter_bits(planted))[:2]:
+        s ^= 1 << m
+    start = af.set_from_mask(s)
+    res, calls = python_calls(
+        lambda: solve_repair_branching(af, start, Semantics.STABLE, 2)
+    )
+    assert res.answer
+    assert sigma_member_mask(af, res.witness.mask, Semantics.STABLE)
+    assert calls < 1_000, calls

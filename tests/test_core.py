@@ -153,3 +153,21 @@ def test_max_degree_matches_definition(make_af):
     for _ in range(40):
         af = make_af(rng, rng.randint(1, 8))
         assert max_degree(af) == oracle_max_degree(af.arguments, af.attacks)
+
+
+def test_index_tuples_list_each_row_in_increasing_order():
+    # attacks given in shuffled order, self-attacks and duplicates included;
+    # the tuples are built once and kept
+    rng = random.Random(9)
+    for n in range(12):
+        af = random_framework(rng, n)
+        attacks = sorted(af.attacks) * 2
+        rng.shuffle(attacks)
+        af = ArgumentationFramework(af.arguments, attacks)
+        indices = af.attacker_indices, af.target_indices
+        for tuples, rows in zip(indices, (af.attackers, af.targets)):
+            assert len(tuples) == n
+            for i, row in enumerate(rows):
+                assert tuples[i] == tuple(j for j in range(n) if row >> j & 1)
+        assert af.attacker_indices is indices[0]
+        assert af.target_indices is indices[1]

@@ -654,25 +654,43 @@ def test_fo_center_tests_membership_before_it_quantifies():
     assert calls < 20_000
 
 
-def test_fo_center_draws_only_the_tuples_it_tries():
-    # a stable NO center on 200 arguments: E1 = {a0, a1} and E2 = {a2, a3}
-    # lie 4 apart, and the layers d = 1..3 try the 1,190 tuples with fewer
-    # flips outside E1 ^ E2 than inside.  A solve that walked all 1,333,500
-    # tuples of d = 1..3 and filtered them made 5.7 million Python calls;
-    # drawing the tried ones directly takes about 0.3 million.
+def _stable_no_center():
+    """A stable NO center on 200 arguments: E1 = {a0, a1} and E2 = {a2, a3}
+    lie 4 apart, and a4..a199 each attack themselves."""
     names = [f"a{i}" for i in range(200)]
     attacks = [(a, b) for a in ("a0", "a1") for b in ("a2", "a3")]
     attacks += [(b, a) for a, b in attacks]
     attacks += [(a, x) for a in ("a0", "a2") for x in names[4:]]
     attacks += [(x, x) for x in names[4:]]
     af = ArgumentationFramework(names, attacks)
-    e1, e2 = af.set_of(["a0", "a1"]), af.set_of(["a2", "a3"])
+    return af, af.set_of(["a0", "a1"]), af.set_of(["a2", "a3"])
+
+
+def test_fo_center_draws_only_the_tuples_it_tries():
+    # the layers d = 1..3 try the 1,190 tuples with fewer flips outside
+    # E1 ^ E2 than inside.  A solve that walked all 1,333,500 tuples of
+    # d = 1..3 and filtered them made 5.7 million Python calls; drawing the
+    # tried ones directly takes about 0.3 million.
+    af, e1, e2 = _stable_no_center()
     res, calls = python_calls(
         lambda: fo_solve_center(af, e1, e2, Semantics.STABLE)
     )
     assert not res.answer and res.stats.candidates == 1_190
     assert not solve_center(af, e1, e2, Semantics.STABLE).answer
     assert calls < 600_000
+
+
+def test_fo_center_tests_sigma_before_its_distance_bound():
+    # the 1,190 tries of the center above: with the AtMost distance
+    # conjunct first, each try passed over all 200 arguments, about 0.3
+    # million Python calls; with the sigma test first, a try that fails it
+    # stops after a few arguments, about 56,000 calls
+    af, e1, e2 = _stable_no_center()
+    res, calls = python_calls(
+        lambda: fo_solve_center(af, e1, e2, Semantics.STABLE)
+    )
+    assert not res.answer and res.stats.candidates == 1_190
+    assert calls < 120_000, calls
 
 
 def test_fo_stable_repair_at_400_arguments_walks_neighbour_lists():
