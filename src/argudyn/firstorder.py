@@ -383,8 +383,9 @@ def first_model(
 ) -> tuple[dict[str, str] | None, int]:
     """The first of tuples, each the argument indices to give variables,
     under which body holds, as an assignment; and the number tried.  The
-    caller chooses the tuples: the fo engine passes the strictly increasing
-    ones of the arguments a layer may flip, so each set is tried once.
+    caller chooses the tuples: the fo engine passes each set of the
+    arguments a layer may flip once, as increasing inside picks plus
+    increasing outside picks, fewest outside flips first.
     """
     return Program(variables, body).first_model(st, tuples)
 

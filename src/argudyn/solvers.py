@@ -6,9 +6,9 @@ canonical order and returns the first witness at the smallest distance
 branching route handles Repair for adm/com/stb by flipping one argument per
 budget unit.  The first-order route scans the open bodies of the problem
 sentences that firstorder builds, over the distance layers delta walks, and
-returns the first model of the first layer that has one, trying each layer's
-witness sets as strictly increasing tuples of the arguments delta may flip.
-Delta and fo read each problem's anchor, layers, pools and endpoints from _spec.
+returns the first model of the first layer that has one, trying each of a
+layer's witness sets once, as inside picks plus outside picks.  Delta and fo
+read each problem from _spec and split each layer's flips by _splits.
 
 Adjust and Center accept the empty set as a witness by default; pass
 require_nonempty=True to restrict to nonempty witnesses (the reduction
@@ -26,7 +26,8 @@ import functools
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from itertools import combinations, compress
+from itertools import chain, combinations, compress, repeat
+from operator import add
 
 from .core import (
     ArgumentationFramework,
@@ -204,14 +205,13 @@ def _change_sets(
                         yield from _additions(af, kept, stages)
 
 
-def _spec(instance: ProblemInstance, require_nonempty: bool) -> tuple:
-    """The question as delta and fo both search it: (anchor, first, last,
-    inside, outside, allow_empty, unary, endpoints).  A witness flips d =
-    first..last arguments of the pools in anchor; last is cut at their size.
-    b flips from a nonempty outside need at least b+1 from inside.  unary
-    names the sets the fo sentences read, endpoints those that must be
-    sigma-extensions.  Only adjust and center allow the empty set, unless
-    require_nonempty.
+def _spec(instance: ProblemInstance, require_nonempty: bool, cap: int | None) -> tuple:
+    """The question as delta and fo both search it, once its endpoints are
+    checked to be sigma-extensions: (anchor, first, last, inside, outside,
+    allow_empty, unary).  A witness flips d = first..last arguments of the
+    pools in anchor, split between them by _splits; last is cut at their
+    size.  unary names the sets the fo sentences read.  Only adjust and
+    center allow the empty set, unless require_nonempty.
 
       problem  anchor     d               inside      outside   endpoints
       small    {}         1..k            all
@@ -238,10 +238,21 @@ def _spec(instance: ProblemInstance, require_nonempty: bool) -> tuple:
         outside = [i for i in everyone if not diff >> i & 1]
         anchor, last = e1.mask, len(inside) - 1
         unary, endpoints = {"E1": e1, "E2": e2}, ("E1", "E2")
+    for name in endpoints:
+        _validate_extension(af, unary[name], instance.semantics, name, cap)
     if kind in (ProblemKind.ADJUST, ProblemKind.CENTER):
         allow_empty = not require_nonempty
     last = min(last, len(inside) + len(outside))
-    return anchor, first, last, inside, outside, allow_empty, unary, endpoints
+    return anchor, first, last, inside, outside, allow_empty, unary
+
+
+def _splits(d: int, inside: list[int], outside: list[int]) -> range:
+    """The counts a of a layer's d flips that may come from inside, the rest
+    from outside, fewest outside flips first.  b >= 1 flips outside need at
+    least b+1 inside: center's witness then differs from E2 in at most
+    |E1^E2| - a + b < |E1^E2| arguments.  Only center has an outside."""
+    low = max(d - len(outside), min(d, d // 2 + 1))
+    return range(min(d, len(inside)), low - 1, -1)
 
 
 def _walk(
@@ -252,11 +263,9 @@ def _walk(
     under the canonical order, is the witness.
     """
     af, sigma = instance.framework, instance.semantics
-    anchor, first, last, inside, outside, allow_empty, unary, endpoints = _spec(
-        instance, require_nonempty
+    anchor, first, last, inside, outside, allow_empty, _ = _spec(
+        instance, require_nonempty, cap
     )
-    for name in endpoints:
-        _validate_extension(af, unary[name], sigma, name, cap)
     start = time.perf_counter()
     stats = SolveStats()
     cap = resolve_cap(cap)
@@ -276,8 +285,7 @@ def _walk(
     deferred = not first_wins and sigma.needs_maximality
     for d in range(first, last + 1):
         hits: list[int] = []
-        low = (d + 2) // 2 if outside else d
-        for a in range(max(low, d - len(outside)), min(d, len(inside)) + 1):
+        for a in _splits(d, inside, outside):
             for e in _change_sets(af, anchor, pools, (a, d - a)):
                 stats.candidates += 1
                 if not (e or allow_empty):
@@ -380,7 +388,6 @@ def _scan(af: ArgumentationFramework, e: int) -> tuple[int, tuple[int, ...]]:
     hit = bytearray(n + 1)
     clash = bytearray(n + 1)
     undefended = bytearray(n + 1)
-    unattacked = bytearray(n + 1)
     defended = bytearray(n + 1)
     members = list(compress(range(n), inside))
     for i in members:
@@ -394,18 +401,20 @@ def _scan(af: ArgumentationFramework, e: int) -> tuple[int, tuple[int, ...]]:
                 undefended[i] = 1
                 break
     attacked = _mask_of(hit)
-    # the uncovered outsiders: the 0 digits of e | attacked
-    covered = f"{e | attacked:0{n}b}"[::-1]
-    z = covered.find("0", 0, n)
+    unattacked = af.full_mask & ~(e | attacked)
+    # the defended ones among them, found at unattacked's 1 digits
+    digits = f"{unattacked:0{n}b}"[::-1]
+    z = digits.find("1")
     while z >= 0:
-        unattacked[z] = 1
         for a in attackers[z]:
             if not hit[a]:
                 break
         else:
             defended[z] = 1
-        z = covered.find("0", z + 1, n)
-    return attacked, tuple(map(_mask_of, (clash, undefended, unattacked, defended)))
+        z = digits.find("1", z + 1)
+    return attacked, (
+        _mask_of(clash), _mask_of(undefended), unattacked, _mask_of(defended)
+    )
 
 
 def _defects(
@@ -559,63 +568,23 @@ def _fo_program(build, *args):
     return firstorder.Program(*build(*args))
 
 
-def _few_outside(
-    pool: list[int], outside: set[int], width: int
-) -> Iterator[tuple[int, ...]]:
-    """The strictly increasing width-tuples of the sorted pool that hold b
-    members of outside and at least b+1 others, in lexicographic order.  A
-    prefix is extended only while some such tuple still extends it, so the
-    walk costs at most a pass over pool per prefix, not C(|pool|, width).
-    The open prefixes sit on an explicit stack, each with the next position
-    it has to try and its b."""
-    most = (width - 1) // 2  # the most members of outside a tuple may hold
-    size = len(pool)
-    # others_after[p]: the members of pool[p:] not in outside
-    others_after = [0] * (size + 1)
-    for p in range(size - 1, -1, -1):
-        others_after[p] = others_after[p + 1] + (pool[p] not in outside)
-    stack = [[(), 0, 0]]  # each: a prefix, its next position, its b
-    while stack:
-        frame = stack[-1]
-        prefix, p, b = frame
-        left = width - len(prefix) - 1  # the picks after this one
-        while p < size:
-            w = pool[p]
-            p += 1
-            c = b + (w in outside)
-            others = others_after[p]
-            if c <= most and others + min(size - p - others, most - c) >= left:
-                break
-        else:
-            stack.pop()
-            continue
-        frame[1] = p
-        if left:
-            stack.append([prefix + (w,), p, c])
-        else:
-            yield prefix + (w,)
-
-
 def _fo_scan(instance: ProblemInstance, require_nonempty: bool) -> SolveResult:
     """Scan the layers of the question's spec over the instance structure:
     each layer's open body from firstorder, as its cached program, tried on
-    the increasing tuples of the pools that delta draws the layer's flips
-    from.  The first model of the first layer that has one names the
-    arguments to flip in the anchor, and that set is checked again."""
+    each set of the layer's flips once, as increasing picks of inside plus
+    increasing picks of outside, split as delta splits them.  The first
+    model of the first layer that has one names the arguments to flip in
+    the anchor, and that set is checked again."""
     from . import firstorder
 
     af, sigma, kind = instance.framework, instance.semantics, instance.kind
     firstorder.sigma_of(sigma)  # raises UnsupportedSemantics for prf/sem
-    anchor, first, last, inside, outside, allow_empty, unary, endpoints = _spec(
-        instance, require_nonempty
+    anchor, first, last, inside, outside, allow_empty, unary = _spec(
+        instance, require_nonempty, None
     )
-    for name in endpoints:
-        _validate_extension(af, unary[name], sigma, name)
     start = time.perf_counter()
     stats = SolveStats()
     st = structure_of(af, **unary)
-    pool = sorted(inside + outside)
-    out = set(outside)
     nonempty = not allow_empty
     for d in range(first, last + 1):
         if kind is ProblemKind.SMALL:
@@ -628,11 +597,13 @@ def _fo_scan(instance: ProblemInstance, require_nonempty: bool) -> SolveResult:
             k = len(inside)
             program = _fo_program(firstorder.center_body, sigma, k, d, nonempty)
         width = len(program.variables)  # d, the layer's flips
-        # b flips outside need b+1 inside: the center's bound on E2
-        if out:
-            tuples = _few_outside(pool, out, width)
-        else:
-            tuples = combinations(pool, width)
+        # each set once, fewest outside flips first: for each split and each
+        # pick of outside, the inside picks, joined at C level
+        tuples = chain.from_iterable(
+            map(add, combinations(inside, a), repeat(o))
+            for a in _splits(width, inside, outside)
+            for o in combinations(outside, width - a)
+        )
         model, tried = program.first_model(st, tuples)
         stats.candidates += tried
         if model is not None:

@@ -433,7 +433,9 @@ def test_nested_at_most_agrees_with_its_nested_expansion():
 
 def _increasing(st, variables):
     """The tuples the fo engine passes first_model for a layer that may flip
-    any argument: the strictly increasing ones, in lexicographic order."""
+    any argument, all of them inside picks: the strictly increasing ones, in
+    lexicographic order.  A center layer that may flip arguments outside
+    E1 ^ E2 appends increasing outside picks to increasing inside picks."""
     return itertools.combinations(range(st.af.n), len(variables))
 
 

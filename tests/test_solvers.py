@@ -45,6 +45,7 @@ from oracles import (
     oracle_center,
     oracle_conflict_free,
     oracle_distance,
+    oracle_extensions,
     oracle_repair,
     oracle_small,
     powerset,
@@ -297,8 +298,6 @@ def test_delta_walks_only_conflict_free_change_sets(monkeypatch):
 def _witness_is_valid(af, instance_kind, res, sigma, **kw):
     w = frozenset(res.witness.names)
     args, attacks = af.arguments, set(af.attacks)
-    from oracles import oracle_extensions
-
     assert w in oracle_extensions(args, attacks, sigma.value)
     if instance_kind == "small":
         assert 0 < len(w) <= kw["k"]
@@ -587,10 +586,69 @@ def test_fo_center_tries_fewer_flips_outside_than_inside():
     assert res.stats.candidates == 2
 
 
+def test_fo_center_tries_a_layer_fewest_flips_outside_first():
+    # E1 = {a, b} and E2 = {c, d} are stable and lie 4 apart; the one stable
+    # center, {x, a, c}, flips b and c inside E1 ^ E2 and x outside it.  The
+    # layers d = 1, 2 try their 4 and 6 sets inside; d = 3 tries its 4 sets
+    # of three inside, then the pairs inside with x: {b, c} is the 4th pair.
+    # Lexicographic order over all five arguments would try {x, b, c} 4th in
+    # d = 3, 14 tries in all.
+    af = ArgumentationFramework(
+        ("x", "a", "b", "c", "d"),
+        [("a", "d"), ("d", "a"), ("b", "c"), ("c", "b"), ("b", "d"),
+         ("b", "x"), ("d", "x")],
+    )
+    e1, e2 = af.set_of(["a", "b"]), af.set_of(["c", "d"])
+    for nonempty in (False, True):
+        res = fo_solve_center(af, e1, e2, Semantics.STABLE, require_nonempty=nonempty)
+        assert res.answer and res.witness.names == ("x", "a", "c")
+        assert res.stats.candidates == 4 + 6 + (4 + 4)
+        assert res.witness == solve_center(af, e1, e2, Semantics.STABLE).witness
+
+
+def test_fo_center_at_distance_four_to_six_agrees_with_delta_and_the_oracle():
+    # E1 and E2 lie 4 to 6 apart, so a layer of d >= 3 flips may take b >= 1
+    # arguments outside E1 ^ E2 next to at least b + 1 inside it
+    rng = random.Random(2)
+    questions, yes, outside = 0, 0, 0
+    for _ in range(400):
+        af = random_framework(rng, rng.randint(6, 8), 0.1, 0.3)
+        args, attacks = af.arguments, set(af.attacks)
+        for sigma in FO_SIGMAS:
+            # sorted: the oracle's set order follows the hash seed
+            exts = sorted(
+                oracle_extensions(args, attacks, sigma.value),
+                key=lambda e: (len(e), sorted(e)),
+            )
+            pairs = [
+                (p, q) for p in exts for q in exts if 4 <= oracle_distance(p, q) <= 6
+            ]
+            if not pairs:
+                continue
+            n1, n2 = rng.choice(pairs)
+            e1, e2 = af.set_of(n1), af.set_of(n2)
+            for nonempty in (False, True):
+                questions += 1
+                want = oracle_center(args, attacks, sigma.value, n1, n2, nonempty)
+                delta = solve_center(af, e1, e2, sigma, require_nonempty=nonempty)
+                fo = fo_solve_center(af, e1, e2, sigma, require_nonempty=nonempty)
+                assert fo.answer == delta.answer == bool(want), (af, sigma, n1, n2)
+                if not fo.answer:
+                    continue
+                yes += 1
+                w = frozenset(fo.witness.names)
+                assert w in want, (af, sigma, n1, n2)
+                assert distance(fo.witness, e1) == distance(delta.witness, e1)
+                outside += bool((w ^ n1) - (n1 ^ n2))
+    assert questions >= 500 and yes >= 400 and outside >= 5, (questions, yes, outside)
+
+
 def test_fo_rechecks_its_witness(monkeypatch):
     # each body builder patched to an always-true body: the first assignment
-    # names the first argument, c, and flipping it in the anchor gives a set
-    # that is not stable, so the engine raises instead of answering YES
+    # names the first argument the layer may flip, c (a for center, whose
+    # first layer flips only inside E1 ^ E2), and flipping it in the anchor
+    # gives a set that is not stable, so the engine raises instead of
+    # answering YES
     af = ArgumentationFramework(("c", "a", "b"), [("a", "b"), ("b", "a")])
     stb = Semantics.STABLE
     e1, e2 = af.set_of(["a", "c"]), af.set_of(["b", "c"])
