@@ -214,31 +214,22 @@ class ArgumentSet:
         return hash((self.af, self.mask))
 
     def __or__(self, other: "ArgumentSet") -> "ArgumentSet":
-        self._check_same(other)
-        return ArgumentSet(self.af, self.mask | other.mask)
+        return ArgumentSet(self.af, self.mask | mask_in(self.af, other))
 
     def __and__(self, other: "ArgumentSet") -> "ArgumentSet":
-        self._check_same(other)
-        return ArgumentSet(self.af, self.mask & other.mask)
+        return ArgumentSet(self.af, self.mask & mask_in(self.af, other))
 
     def __xor__(self, other: "ArgumentSet") -> "ArgumentSet":
-        self._check_same(other)
-        return ArgumentSet(self.af, self.mask ^ other.mask)
+        return ArgumentSet(self.af, self.mask ^ mask_in(self.af, other))
 
     def __sub__(self, other: "ArgumentSet") -> "ArgumentSet":
-        self._check_same(other)
-        return ArgumentSet(self.af, self.mask & ~other.mask)
+        return ArgumentSet(self.af, self.mask & ~mask_in(self.af, other))
 
     def __le__(self, other: "ArgumentSet") -> bool:
-        self._check_same(other)
-        return self.mask & ~other.mask == 0
+        return self.mask & ~mask_in(self.af, other) == 0
 
     def __lt__(self, other: "ArgumentSet") -> bool:
         return self <= other and self.mask != other.mask
-
-    def _check_same(self, other: "ArgumentSet") -> None:
-        if self.af != other.af:
-            raise ValueError("argument sets belong to different frameworks")
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -304,7 +295,9 @@ def stb_mask(af: ArgumentationFramework, mask: int) -> bool:
 # -- public checkers -------------------------------------------------------
 
 
-def _same_af(af: ArgumentationFramework, s: ArgumentSet) -> int:
+def mask_in(af: ArgumentationFramework, s: ArgumentSet) -> int:
+    """S's mask, once S is known to be a set of af's arguments: the one
+    check that a set belongs to a framework."""
     if s.af != af:
         raise ValueError("argument set does not belong to this framework")
     return s.mask
@@ -312,37 +305,35 @@ def _same_af(af: ArgumentationFramework, s: ArgumentSet) -> int:
 
 def range_of(af: ArgumentationFramework, s: ArgumentSet) -> ArgumentSet:
     """S together with every argument attacked by S."""
-    mask = _same_af(af, s)
+    mask = mask_in(af, s)
     return ArgumentSet(af, mask | attacked_mask(af, mask))
 
 
 def is_conflict_free(af: ArgumentationFramework, s: ArgumentSet) -> bool:
-    return cf_mask(af, _same_af(af, s))
+    return cf_mask(af, mask_in(af, s))
 
 
 def defends(af: ArgumentationFramework, s: ArgumentSet, x: str) -> bool:
     """True iff every attacker of x is attacked by some member of S."""
-    mask = _same_af(af, s)
+    mask = mask_in(af, s)
     return af.attackers[af.index_of(x)] & ~attacked_mask(af, mask) == 0
 
 
 def is_admissible(af: ArgumentationFramework, s: ArgumentSet) -> bool:
-    return adm_mask(af, _same_af(af, s))
+    return adm_mask(af, mask_in(af, s))
 
 
 def is_complete(af: ArgumentationFramework, s: ArgumentSet) -> bool:
-    return com_mask(af, _same_af(af, s))
+    return com_mask(af, mask_in(af, s))
 
 
 def is_stable(af: ArgumentationFramework, s: ArgumentSet) -> bool:
-    return stb_mask(af, _same_af(af, s))
+    return stb_mask(af, mask_in(af, s))
 
 
 def distance(e1: ArgumentSet, e2: ArgumentSet) -> int:
     """Size of the symmetric difference of two sets over the same framework."""
-    if e1.af != e2.af:
-        raise ValueError("argument sets belong to different frameworks")
-    return (e1.mask ^ e2.mask).bit_count()
+    return (e1.mask ^ mask_in(e1.af, e2)).bit_count()
 
 
 def max_degree(af: ArgumentationFramework) -> int:

@@ -8,6 +8,7 @@ from .core import (
     adm_mask,
     attacked_mask,
     iter_bits,
+    mask_in,
 )
 from .errors import CapExceeded, InvalidCap
 
@@ -140,15 +141,11 @@ def is_preferred(
     af: ArgumentationFramework, s: ArgumentSet, cap: int | None = None
 ) -> bool:
     """S admissible with no admissible strict superset."""
-    if s.af != af:
-        raise ValueError("argument set does not belong to this framework")
-    return preferred_mask(af, s.mask, cap)
+    return preferred_mask(af, mask_in(af, s), cap)
 
 
 def is_semistable(
     af: ArgumentationFramework, s: ArgumentSet, cap: int | None = None
 ) -> bool:
     """S admissible with subset-maximal range among admissible sets."""
-    if s.af != af:
-        raise ValueError("argument set does not belong to this framework")
-    return semistable_mask(af, s.mask, cap)
+    return semistable_mask(af, mask_in(af, s), cap)

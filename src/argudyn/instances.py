@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import ArgumentationFramework, ArgumentSet, Semantics, distance
+from .core import ArgumentationFramework, ArgumentSet, Semantics, distance, mask_in
 
 
 class ProblemKind(str, Enum):
@@ -42,23 +42,29 @@ class ProblemInstance:
         return self.k
 
 
+def _instance(kind, af, sigma, k=None, target=None, **sets) -> ProblemInstance:
+    """The question of this kind, once its inputs are checked, in this
+    order: k is nonnegative (all but center), each set belongs to af,
+    adjust's target is an argument of af, and sigma names a semantics."""
+    if kind is not ProblemKind.CENTER and k < 0:
+        raise ValueError("k must be nonnegative")
+    for s in sets.values():
+        mask_in(af, s)
+    if kind is ProblemKind.ADJUST:
+        af.index_of(target)
+    return ProblemInstance(kind, af, Semantics.parse(sigma), k=k, target=target, **sets)
+
+
 def small_instance(
     af: ArgumentationFramework, sigma: Semantics, k: int
 ) -> ProblemInstance:
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return ProblemInstance(ProblemKind.SMALL, af, Semantics.parse(sigma), k=k)
+    return _instance(ProblemKind.SMALL, af, sigma, k)
 
 
 def repair_instance(
     af: ArgumentationFramework, s: ArgumentSet, sigma: Semantics, k: int
 ) -> ProblemInstance:
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if s.af != af:
-        raise ValueError("start set does not belong to the framework")
-    sigma = Semantics.parse(sigma)
-    return ProblemInstance(ProblemKind.REPAIR, af, sigma, k=k, s=s)
+    return _instance(ProblemKind.REPAIR, af, sigma, k, s=s)
 
 
 def adjust_instance(
@@ -68,13 +74,7 @@ def adjust_instance(
     sigma: Semantics,
     k: int,
 ) -> ProblemInstance:
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if e0.af != af:
-        raise ValueError("start extension does not belong to the framework")
-    af.index_of(target)
-    sigma = Semantics.parse(sigma)
-    return ProblemInstance(ProblemKind.ADJUST, af, sigma, k=k, e0=e0, target=target)
+    return _instance(ProblemKind.ADJUST, af, sigma, k, target, e0=e0)
 
 
 def center_instance(
@@ -83,7 +83,4 @@ def center_instance(
     e2: ArgumentSet,
     sigma: Semantics,
 ) -> ProblemInstance:
-    if e1.af != af or e2.af != af:
-        raise ValueError("endpoint sets do not belong to the framework")
-    sigma = Semantics.parse(sigma)
-    return ProblemInstance(ProblemKind.CENTER, af, sigma, e1=e1, e2=e2)
+    return _instance(ProblemKind.CENTER, af, sigma, e1=e1, e2=e2)

@@ -503,7 +503,7 @@ def solve_repair_branching(
     and its parent's set, attacked mask and defect masks, and the node looks
     again only at its last flip, that flip's attackers, its targets and
     their targets.  A set with no defect is scanned again from scratch
-    before it is returned.
+    before it is returned; a defect found there raises NotAnExtension.
     """
     sigma = repair_instance(af, s, sigma, k).semantics
     if sigma.needs_maximality:
@@ -535,9 +535,12 @@ def solve_repair_branching(
         moves = _moves(af, sigma, e, defects)
         if moves is None:
             # checked again from scratch: a nonempty set with no defect is
-            # a sigma-extension
-            if _moves(af, sigma, e, _scan(af, e)[1]) is None:
-                return _result(af, e, stats, start)
+            # a sigma-extension, so a defect here is one the masks missed
+            if _moves(af, sigma, e, _scan(af, e)[1]) is not None:
+                raise NotAnExtension(
+                    f"the branching repair witness is not an extension under {sigma.value}"
+                )
+            return _result(af, e, stats, start)
         elif flips.bit_count() < k:
             for bit in reversed(moves):
                 # never flip an argument twice, nor add one attacking itself

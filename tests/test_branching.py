@@ -5,6 +5,7 @@ import pytest
 
 from argudyn import (
     ArgumentationFramework,
+    NotAnExtension,
     Semantics,
     UnsupportedSemantics,
     distance,
@@ -140,6 +141,20 @@ def test_a_node_rechecks_only_around_its_last_flip(monkeypatch):
     res = solve_repair_branching(af, af.full_set(), Semantics.ADMISSIBLE, pairs)
     assert res.stats.nodes == pairs + 1
     assert sum(regions) <= 8 * res.stats.nodes, sum(regions)
+
+
+def test_branching_raises_when_its_recheck_finds_a_defect(monkeypatch):
+    # with every node's defect masks read as zero, the first node, {b}
+    # after a leaves {a, b}, looks defect-free; the whole-set re-check finds
+    # b undefended, and the solve raises rather than move on to {a}
+    af = ArgumentationFramework(("a", "b"), [("a", "b")])
+
+    def blind(af, e, attacked, region, masks):
+        return (0, 0, 0, 0)
+
+    monkeypatch.setattr(solvers, "_defects", blind)
+    with pytest.raises(NotAnExtension, match="branching repair witness .* under adm"):
+        solve_repair_branching(af, af.full_set(), Semantics.ADMISSIBLE, 1)
 
 
 def _planted_starts(rng, n, p, count):

@@ -7,14 +7,20 @@ from hypothesis import strategies as st
 from argudyn import (
     ArgumentationFramework,
     Semantics,
+    adjust_instance,
+    center_instance,
     distance,
     is_admissible,
     is_complete,
     is_conflict_free,
+    is_preferred,
+    is_semistable,
     is_stable,
     max_degree,
     range_of,
+    repair_instance,
 )
+from argudyn.core import defends
 from conftest import random_framework
 from oracles import (
     oracle_admissible,
@@ -100,6 +106,40 @@ def test_distance_is_symmetric_difference_size(f4):
     assert distance(ac, ac) == 0
     assert distance(f4.empty_set(), f4.full_set()) == 4
     assert distance(ac, ad) == distance(ad, ac)
+
+
+def test_a_set_from_another_framework_is_refused_with_one_message(f4):
+    # frameworks compare by value, so the other one has the same arguments
+    # and different attacks
+    other = ArgumentationFramework(f4.arguments, [("a", "b")])
+    assert other != f4
+    ac, foreign = f4.set_of(["a", "c"]), other.set_of(["a", "c"])
+    refusals = {
+        "range_of": lambda: range_of(f4, foreign),
+        "is_conflict_free": lambda: is_conflict_free(f4, foreign),
+        "defends": lambda: defends(f4, foreign, "a"),
+        "is_admissible": lambda: is_admissible(f4, foreign),
+        "is_complete": lambda: is_complete(f4, foreign),
+        "is_stable": lambda: is_stable(f4, foreign),
+        "is_preferred": lambda: is_preferred(f4, foreign),
+        "is_semistable": lambda: is_semistable(f4, foreign),
+        "distance": lambda: distance(ac, foreign),
+        "|": lambda: ac | foreign,
+        "&": lambda: ac & foreign,
+        "^": lambda: ac ^ foreign,
+        "-": lambda: ac - foreign,
+        "<=": lambda: ac <= foreign,
+        "repair_instance": lambda: repair_instance(f4, foreign, "adm", 1),
+        "adjust_instance": lambda: adjust_instance(f4, foreign, "a", "adm", 1),
+        "center_instance e1": lambda: center_instance(f4, foreign, ac, "adm"),
+        "center_instance e2": lambda: center_instance(f4, ac, foreign, "adm"),
+    }
+    for name, refuse in refusals.items():
+        with pytest.raises(ValueError) as refused:
+            refuse()
+        assert str(refused.value) == (
+            "argument set does not belong to this framework"
+        ), name
 
 
 def test_hand_checked_semantics(f1, f2, f3):
