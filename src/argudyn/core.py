@@ -149,7 +149,7 @@ class ArgumentationFramework:
     def index_of(self, name: str) -> int:
         try:
             return self._index[name]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ValueError(f"unknown argument {name!r}") from None
 
     def sorted_attacks(self) -> list[tuple[str, str]]:
@@ -296,9 +296,9 @@ def stb_mask(af: ArgumentationFramework, mask: int) -> bool:
 
 
 def mask_in(af: ArgumentationFramework, s: ArgumentSet) -> int:
-    """S's mask, once S is known to be a set of af's arguments: the one
-    check that a set belongs to a framework."""
-    if s.af != af:
+    """S's mask, once S is known to be an ArgumentSet of af's arguments:
+    the one check that a set belongs to a framework."""
+    if not isinstance(s, ArgumentSet) or s.af != af:
         raise ValueError("argument set does not belong to this framework")
     return s.mask
 

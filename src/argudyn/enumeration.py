@@ -16,15 +16,15 @@ DEFAULT_ENUM_CAP = 20
 
 
 def resolve_cap(cap: int | None) -> int:
-    """The explicit cap, which must be nonnegative, else the default."""
+    """The explicit cap, a nonnegative int and not a bool, else the default."""
     if cap is None:
         return DEFAULT_ENUM_CAP
-    if cap < 0:
+    if type(cap) is not int or cap < 0:
         raise InvalidCap(f"enumeration cap {cap!r} is not a nonnegative integer")
     return cap
 
 
-def _gate(af: ArgumentationFramework, cap: int | None) -> None:
+def cap_gate(af: ArgumentationFramework, cap: int | None) -> None:
     limit = resolve_cap(cap)
     if af.n > limit:
         raise CapExceeded(af.n, limit)
@@ -121,7 +121,7 @@ def _larger_admissible(
 def preferred_mask(
     af: ArgumentationFramework, mask: int, cap: int | None = None
 ) -> bool:
-    _gate(af, cap)
+    cap_gate(af, cap)
     if not adm_mask(af, mask):
         return False
     hit = attacked_mask(af, mask)
@@ -131,7 +131,7 @@ def preferred_mask(
 def semistable_mask(
     af: ArgumentationFramework, mask: int, cap: int | None = None
 ) -> bool:
-    _gate(af, cap)
+    cap_gate(af, cap)
     if not adm_mask(af, mask):
         return False
     return not _larger_admissible(af, 0, 0, mask | attacked_mask(af, mask))

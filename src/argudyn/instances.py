@@ -43,11 +43,11 @@ class ProblemInstance:
 
 
 def _instance(kind, af, sigma, k=None, target=None, **sets) -> ProblemInstance:
-    """The question of this kind, once its inputs are checked, in this
-    order: k is nonnegative (all but center), each set belongs to af,
-    adjust's target is an argument of af, and sigma names a semantics."""
-    if kind is not ProblemKind.CENTER and k < 0:
-        raise ValueError("k must be nonnegative")
+    """The question of this kind, once its inputs are checked in this order:
+    k is a nonnegative int and not a bool (all but center), each set is an
+    ArgumentSet of af, adjust's target is af's, sigma names a semantics."""
+    if kind is not ProblemKind.CENTER and (type(k) is not int or k < 0):
+        raise ValueError(f"k must be nonnegative, as an int; got {k!r}")
     for s in sets.values():
         mask_in(af, s)
     if kind is ProblemKind.ADJUST:

@@ -14,10 +14,10 @@ Adjust and Center accept the empty set as a witness by default; pass
 require_nonempty=True to restrict to nonempty witnesses (the reduction
 equivalence checks in the gadget tests use that mode).
 
-Each entry validates its question with its problem's instances constructor.
-enumerate_extensions lists a semantics' extensions through the same
-membership check, sigma_member_mask, that delta and fo use; branching reads
-membership off the defect masks of one whole-set scan.
+Each entry validates its question with its problem's instances constructor
+and returns a YES witness only once check_witness, the paper's YES condition
+stated once, passes it.  Delta and enumerate_extensions test membership with
+sigma_member_mask; branching and check_witness read it off defect masks.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .core import (
     mask_key,
     stb_mask,
 )
-from .enumeration import preferred_mask, resolve_cap, semistable_mask
+from .enumeration import cap_gate, preferred_mask, resolve_cap, semistable_mask
 from .errors import CapExceeded, NotAnExtension, UnsupportedSemantics
 from .instances import (
     ProblemInstance,
@@ -113,9 +113,7 @@ def enumerate_extensions(
 ) -> tuple[ArgumentSet, ...]:
     """All sigma-extensions of af in canonical (cardinality, lexicographic)
     order: the conflict-free sets that pass sigma_member_mask."""
-    cap = resolve_cap(cap)
-    if af.n > cap:
-        raise CapExceeded(af.n, cap)
+    cap_gate(af, cap)
     chosen = [
         m for m in _conflict_free_masks(af) if sigma_member_mask(af, m, sigma, cap)
     ]
@@ -132,6 +130,32 @@ def _result(
     if witness_mask is None:
         return SolveResult(False, None, stats)
     return SolveResult(True, ArgumentSet(af, witness_mask), stats)
+
+
+def check_witness(
+    instance: ProblemInstance, mask: int, require_nonempty: bool, engine: str
+) -> None:
+    """Raise NotAnExtension unless mask answers the instance YES: within k
+    of the empty set (small), of S (repair) or of E0, flipping the target
+    (adjust), or within |E1^E2| - 1 of both E1 and E2 (center); nonempty
+    unless adjust or center allow the empty set; and, but for delta, whose
+    walk chose mask by its membership test, with no adm/com/stb defect that
+    one _scan finds."""
+    af, kind, sigma = instance.framework, instance.kind, instance.semantics
+    sets = (instance.s, instance.e0, instance.e1, instance.e2)
+    ends = [e.mask for e in sets if e is not None] or [0]
+    bound = instance.parameter() - (kind is ProblemKind.CENTER)
+    t = instance.target
+    empty_ok = kind in (ProblemKind.ADJUST, ProblemKind.CENTER) and not require_nonempty
+    if (
+        any((mask ^ end).bit_count() > bound for end in ends)
+        or t is not None and not (mask ^ ends[0]) >> af.index_of(t) & 1
+        or not (mask or empty_ok)
+        or engine != "delta" and _moves(af, sigma, mask, _scan(af, mask)[1]) is not None
+    ):
+        raise NotAnExtension(
+            f"the {engine} {kind.value} witness fails the YES check under {sigma.value}"
+        )
 
 
 # -- delta enumeration --------------------------------------------------------
@@ -220,6 +244,7 @@ def _spec(instance: ProblemInstance, require_nonempty: bool, cap: int | None) ->
       center   E1         1..|E1^E2|-1    E1^E2       the rest  E1, E2
     """
     af, kind, k = instance.framework, instance.kind, instance.k
+    sigma = instance.semantics
     everyone = list(range(af.n))
     # small's row; the others change what differs
     anchor, first, last, inside, outside = 0, 1, k, everyone, []
@@ -239,7 +264,8 @@ def _spec(instance: ProblemInstance, require_nonempty: bool, cap: int | None) ->
         anchor, last = e1.mask, len(inside) - 1
         unary, endpoints = {"E1": e1, "E2": e2}, ("E1", "E2")
     for name in endpoints:
-        _validate_extension(af, unary[name], instance.semantics, name, cap)
+        if not sigma_member_mask(af, unary[name].mask, sigma, cap):
+            raise NotAnExtension(f"{name} is not an extension under {sigma.value}")
     if kind in (ProblemKind.ADJUST, ProblemKind.CENTER):
         allow_empty = not require_nonempty
     last = min(last, len(inside) + len(outside))
@@ -297,12 +323,13 @@ def _walk(
                     if adm_mask(af, e):
                         hits.append(e)
                 elif sigma_member_mask(af, e, sigma, cap):
-                    if first_wins:
-                        return _result(af, e, stats, start)
                     hits.append(e)
+                    if first_wins:
+                        break
         hits.sort(key=mask_key)
         for e in hits:
             if not deferred or sigma_member_mask(af, e, sigma, cap):
+                check_witness(instance, e, require_nonempty, "delta")
                 return _result(af, e, stats, start)
     return _result(af, None, stats, start)
 
@@ -323,17 +350,6 @@ def solve_repair(
 ) -> SolveResult:
     """Is there a nonempty sigma-extension within distance k of S?"""
     return _walk(repair_instance(af, s, sigma, k), cap, True)
-
-
-def _validate_extension(
-    af: ArgumentationFramework,
-    e: ArgumentSet,
-    sigma: Semantics,
-    label: str,
-    cap: int | None = None,
-) -> None:
-    if not sigma_member_mask(af, e.mask, sigma, cap):
-        raise NotAnExtension(f"{label} is not an extension under {sigma.value}")
 
 
 def solve_adjust(
@@ -450,7 +466,7 @@ def _moves(
     to flip in e.  None when e has no defect.
 
     The defects, checked in order: an attack inside e, an undefended member,
-    an uncovered outsider (stb), a defended outsider (com), emptiness.
+    an uncovered outsider (stb), a defended outsider (com).
     """
     attackers = af.attackers
     clash, undefended, unattacked, defended = defects
@@ -477,8 +493,6 @@ def _moves(
         for a in iter_bits(attackers[z]):
             defenders |= attackers[a]
         return [1 << z] + [1 << d for d in iter_bits(defenders & e)]
-    if not e:
-        return [1 << z for z in range(af.n)]
     return None
 
 
@@ -502,10 +516,11 @@ def solve_repair_branching(
     attackers' attackers, so a stack entry holds its flips, its last flip
     and its parent's set, attacked mask and defect masks, and the node looks
     again only at its last flip, that flip's attackers, its targets and
-    their targets.  A set with no defect is scanned again from scratch
-    before it is returned; a defect found there raises NotAnExtension.
+    their targets.  A nonempty set with no defect passes check_witness,
+    which scans it again from scratch, before it is returned.
     """
-    sigma = repair_instance(af, s, sigma, k).semantics
+    instance = repair_instance(af, s, sigma, k)
+    sigma = instance.semantics
     if sigma.needs_maximality:
         raise UnsupportedSemantics(
             f"branching route supports adm, com, stb; got {sigma.value}"
@@ -533,16 +548,11 @@ def solve_repair_branching(
                     attacked |= 1 << t
             defects = _defects(af, e, attacked, region, defects)
         moves = _moves(af, sigma, e, defects)
-        if moves is None:
-            # checked again from scratch: a nonempty set with no defect is
-            # a sigma-extension, so a defect here is one the masks missed
-            if _moves(af, sigma, e, _scan(af, e)[1]) is not None:
-                raise NotAnExtension(
-                    f"the branching repair witness is not an extension under {sigma.value}"
-                )
+        if moves is None and e:
+            check_witness(instance, e, True, "branching")
             return _result(af, e, stats, start)
         elif flips.bit_count() < k:
-            for bit in reversed(moves):
+            for bit in reversed(moves or [1 << z for z in range(af.n)]):
                 # never flip an argument twice, nor add one attacking itself
                 if not (flips & bit or targets[bit.bit_length() - 1] & bit & ~e):
                     stack.append((flips | bit, bit, e, attacked, defects))
@@ -588,17 +598,16 @@ def _fo_scan(instance: ProblemInstance, require_nonempty: bool) -> SolveResult:
     start = time.perf_counter()
     stats = SolveStats()
     st = structure_of(af, **unary)
-    nonempty = not allow_empty
+    # each layer's body is build(*lead, d, *tail), read at solve time
+    nonempty = (not allow_empty,)
+    build, lead, tail = {
+        ProblemKind.SMALL: (firstorder.small_body, (sigma,), ()),
+        ProblemKind.REPAIR: (firstorder.repair_body, (sigma,), nonempty),
+        ProblemKind.ADJUST: (firstorder.adjust_body, (sigma,), nonempty),
+        ProblemKind.CENTER: (firstorder.center_body, (sigma, len(inside)), nonempty),
+    }[kind]
     for d in range(first, last + 1):
-        if kind is ProblemKind.SMALL:
-            program = _fo_program(firstorder.small_body, sigma, d)
-        elif kind is ProblemKind.REPAIR:
-            program = _fo_program(firstorder.repair_body, sigma, d, nonempty)
-        elif kind is ProblemKind.ADJUST:
-            program = _fo_program(firstorder.adjust_body, sigma, d, nonempty)
-        else:
-            k = len(inside)
-            program = _fo_program(firstorder.center_body, sigma, k, d, nonempty)
+        program = _fo_program(build, *lead, d, *tail)
         width = len(program.variables)  # d, the layer's flips
         # each set once, fewest outside flips first: for each split and each
         # pick of outside, the inside picks, joined at C level
@@ -610,10 +619,9 @@ def _fo_scan(instance: ProblemInstance, require_nonempty: bool) -> SolveResult:
         model, tried = program.first_model(st, tuples)
         stats.candidates += tried
         if model is not None:
-            result = _result(af, anchor ^ af.mask_of(model.values()), stats, start)
-            label = f"the fo {kind.value} witness"
-            _validate_extension(af, result.witness, sigma, label)
-            return result
+            witness = anchor ^ af.mask_of(model.values())
+            check_witness(instance, witness, require_nonempty, "fo")
+            return _result(af, witness, stats, start)
     return _result(af, None, stats, start)
 
 

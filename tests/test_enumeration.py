@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -172,6 +173,21 @@ def test_nonadmissible_sets_are_never_maximal():
             if not oracle_admissible(attacks, frozenset(s.names)):
                 assert not preferred_mask(af, s.mask)
                 assert not semistable_mask(af, s.mask)
+
+
+@pytest.mark.parametrize("cap", [1.5, True, "3"])
+def test_a_cap_that_is_not_an_int_is_refused(cap):
+    chain = _chain(3)
+    for call in (
+        lambda: resolve_cap(cap),
+        lambda: enumeration.cap_gate(chain, cap),
+        lambda: enumerate_extensions(chain, Semantics.ADMISSIBLE, cap),
+        lambda: is_preferred(chain, chain.set_of(["x0"]), cap),
+        lambda: sigma_member_mask(chain, 0, Semantics.ADMISSIBLE, cap),
+        lambda: solve_small(chain, Semantics.ADMISSIBLE, 1, cap=cap),
+    ):
+        with pytest.raises(InvalidCap, match=re.escape(repr(cap))):
+            call()
 
 
 def test_maximality_cap_gate():

@@ -7,6 +7,8 @@ from argudyn import (
     ArgumentationFramework,
     CapExceeded,
     NotAnExtension,
+    ProblemInstance,
+    ProblemKind,
     Semantics,
     distance,
     enumerate_extensions,
@@ -33,6 +35,8 @@ from argudyn.firstorder import (
     structure_of,
 )
 from argudyn.solvers import (
+    ENGINES,
+    check_witness,
     fo_solve_adjust,
     fo_solve_center,
     fo_solve_repair,
@@ -496,6 +500,74 @@ def test_solve_instance_dispatch(f1):
             call()
 
 
+@pytest.mark.parametrize("k", [1.5, True, "2"])
+def test_every_entry_refuses_a_k_that_is_not_an_int(k):
+    # each refuses it with the one message of the instance constructors, and
+    # so does solve_instance, given an instance built past them
+    ab = ArgumentationFramework(("a", "b"), [("a", "b")])
+    a = ab.set_of(["a"])
+    sigma = Semantics.ADMISSIBLE
+    calls = [
+        lambda: solve_small(ab, sigma, k),
+        lambda: solve_repair(ab, a, sigma, k),
+        lambda: solve_adjust(ab, a, "b", sigma, k),
+        lambda: solve_repair_branching(ab, a, sigma, k),
+        lambda: fo_solve_small(ab, sigma, k),
+        lambda: fo_solve_repair(ab, a, sigma, k),
+        lambda: fo_solve_adjust(ab, a, "b", sigma, k),
+    ]
+    for kind, sets in (
+        (ProblemKind.SMALL, {}),
+        (ProblemKind.REPAIR, {"s": a}),
+        (ProblemKind.ADJUST, {"e0": a, "target": "b"}),
+    ):
+        inst = ProblemInstance(kind, ab, sigma, k=k, **sets)
+        for engine in ENGINES:
+            if engine != "branching" or kind is ProblemKind.REPAIR:
+                calls.append(lambda i=inst, e=engine: solve_instance(i, e))
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError, match="k must be nonnegative") as raised:
+            call()
+        messages.add(str(raised.value))
+    assert messages == {f"k must be nonnegative, as an int; got {k!r}"}
+
+
+@pytest.mark.parametrize("bad", [["a"], None])
+def test_every_entry_refuses_a_set_that_is_not_an_argument_set(bad):
+    ab = ArgumentationFramework(("a", "b"), [("a", "b")])
+    a = ab.set_of(["a"])
+    sigma = Semantics.ADMISSIBLE
+    for call in (
+        lambda: solve_repair(ab, bad, sigma, 1),
+        lambda: solve_adjust(ab, bad, "b", sigma, 1),
+        lambda: solve_center(ab, bad, a, sigma),
+        lambda: solve_center(ab, a, bad, sigma),
+        lambda: solve_repair_branching(ab, bad, sigma, 1),
+        lambda: fo_solve_repair(ab, bad, sigma, 1),
+        lambda: fo_solve_adjust(ab, bad, "b", sigma, 1),
+        lambda: fo_solve_center(ab, a, bad, sigma),
+        lambda: distance(a, bad),
+        lambda: a | bad,
+    ):
+        with pytest.raises(ValueError, match="does not belong to this framework"):
+            call()
+
+
+def test_every_entry_refuses_an_unhashable_target():
+    ab = ArgumentationFramework(("a", "b"), [("a", "b")])
+    a = ab.set_of(["a"])
+    sigma = Semantics.ADMISSIBLE
+    for call in (
+        lambda: ab.index_of(["a"]),
+        lambda: adjust_instance(ab, a, ["a"], sigma, 1),
+        lambda: solve_adjust(ab, a, ["a"], sigma, 1),
+        lambda: fo_solve_adjust(ab, a, ["a"], sigma, 1),
+    ):
+        with pytest.raises(ValueError, match=r"unknown argument \['a'\]"):
+            call()
+
+
 @pytest.mark.parametrize("engine", ["branching", "fo"])
 def test_only_the_delta_engine_takes_a_cap(f1, engine):
     rep = repair_instance(f1, f1.set_of(["a"]), Semantics.ADMISSIBLE, 1)
@@ -683,6 +755,91 @@ def test_fo_center_bounds_the_distance_to_e2_strictly():
     assert solvers.sigma_member_mask(af, af.set_of(["x2", "x4"]).mask, stb)
     for solve in (solve_center, fo_solve_center):
         assert not solve(af, e1, e2, stb).answer
+
+
+def test_a_split_rule_that_lets_b_equal_a_is_caught_by_the_witness_check(
+    monkeypatch,
+):
+    # the case above with _splits loosened to let a layer take as many flips
+    # outside E1 ^ E2 as inside, and for fo center's body to bound the
+    # distance to E2 by k: both engines then reach {x2, x4}, which lies 4
+    # from E2, and check_witness refuses it where a membership check alone
+    # would answer YES
+    af = ArgumentationFramework(
+        ("x0", "x1", "x2", "x3", "x4"),
+        [("x0", "x2"), ("x0", "x3"), ("x1", "x2"), ("x1", "x4"), ("x2", "x0"),
+         ("x2", "x1"), ("x3", "x1"), ("x3", "x4"), ("x4", "x3")],
+    )
+    e1, e2 = af.set_of(["x2", "x3"]), af.set_of(["x0", "x1"])
+    center_body = firstorder.center_body
+
+    def loose_splits(d, inside, outside):
+        low = max(d - len(outside), min(d, (d + 1) // 2))
+        return range(min(d, len(inside)), low - 1, -1)
+
+    def loose_body(sigma, k, d, require_nonempty=False):
+        return center_body(sigma, k + 1, d, require_nonempty)
+
+    monkeypatch.setattr(solvers, "_splits", loose_splits)
+    monkeypatch.setattr(firstorder, "center_body", loose_body)
+    for engine, solve in (("delta", solve_center), ("fo", fo_solve_center)):
+        with pytest.raises(NotAnExtension, match=f"{engine} center .* under stb"):
+            solve(af, e1, e2, Semantics.STABLE)
+
+
+def _oracle_questions(rng, af, sigma, exts):
+    """(instance, require_nonempty, oracle witness list) of each problem on
+    af under sigma, for both require_nonempty settings."""
+    args, attacks, s = af.arguments, set(af.attacks), sigma.value
+    ranked = sorted(exts, key=lambda e: (len(e), sorted(e)))
+    for nonempty in (False, True):
+        for k in (1, 2):
+            want = oracle_small(args, attacks, s, k)
+            yield small_instance(af, sigma, k), nonempty, want
+            start = af.set_from_mask(rng.randrange(1 << af.n))
+            want = oracle_repair(args, attacks, s, frozenset(start.names), k)
+            yield repair_instance(af, start, sigma, k), nonempty, want
+            if ranked:
+                e0, t = af.set_of(rng.choice(ranked)), rng.choice(args)
+                want = oracle_adjust(
+                    args, attacks, s, frozenset(e0.names), t, k, nonempty
+                )
+                yield adjust_instance(af, e0, t, sigma, k), nonempty, want
+        if ranked:
+            n1, n2 = rng.choice(ranked), rng.choice(ranked)
+            want = oracle_center(args, attacks, s, n1, n2, nonempty)
+            e1, e2 = af.set_of(n1), af.set_of(n2)
+            yield center_instance(af, e1, e2, sigma), nonempty, want
+
+
+def test_check_witness_passes_exactly_the_oracle_witnesses():
+    # every subset of seeded frameworks of up to 6 arguments, asked as the
+    # witness of each problem: the fo and branching check, which scans the
+    # set, passes exactly the oracle's witnesses; delta's, which reads the
+    # bounds alone, passes exactly the oracle's witnesses among the members
+    rng = random.Random(6)
+    checks = passes = 0
+    for n in range(1, 7):
+        for _ in range(4):
+            af = random_framework(rng, n)
+            subsets = [(m, frozenset(af.set_from_mask(m).names)) for m in range(1 << n)]
+            for sigma in FO_SIGMAS:
+                exts = oracle_extensions(af.arguments, set(af.attacks), sigma.value)
+                for inst, nonempty, want in _oracle_questions(rng, af, sigma, exts):
+                    engines = ["fo"]
+                    if inst.kind is ProblemKind.REPAIR and nonempty:
+                        engines.append("branching")
+                    for mask, names in subsets:
+                        for engine in engines + ["delta"] * (names in exts):
+                            try:
+                                check_witness(inst, mask, nonempty, engine)
+                                passed = True
+                            except NotAnExtension:
+                                passed = False
+                            assert passed == (names in want), (af, inst, mask, engine)
+                            checks += 1
+                            passes += passed
+    assert checks >= 20_000 and passes >= 1_000, (checks, passes)
 
 
 def test_fo_center_counts_the_distance_to_e2_in_one_pass():
