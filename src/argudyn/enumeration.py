@@ -46,16 +46,26 @@ def cap_gate(af: ArgumentationFramework, cap: int | None) -> None:
 # labelling-based backtracking: Nofal, Atkinson & Dunne, AIJ 2014).  The
 # search is exponential in the worst case, hence the same cap gate as the
 # enumerator, but it follows the attack structure so it stays shallow on the
-# generated hardness instances.  The delta walk calls these checks last in a
-# prf/sem layer: on its admissible candidates in canonical order, until one
-# passes.
+# generated hardness instances.
+#
+# A search that finds the larger admissible set T refutes more than the set
+# it was run for: no strict subset of T is preferred, and no set whose range
+# lies strictly inside T's range is semi-stable.  So the search returns T,
+# and preferred_mask and semistable_mask hand it (sem: its range) to an
+# optional sink, a list the caller keeps.  The delta walk keeps one per
+# solve, seeded with the endpoints it has checked to be extensions, and tests
+# each prf/sem candidate against it before it runs a search: the
+# counterexample-guided loop of CEGARTIX (Dvořák, Järvisalo, Wallner &
+# Woltran, AIJ 2014).  It runs the checks last in a prf/sem layer, on its
+# admissible candidates in canonical order, until one passes.
 
 
 def _larger_admissible(
     af: ArgumentationFramework, start: int, hit: int, cover: int
-) -> bool:
-    """True iff some admissible superset of start has a range that holds
-    cover and at least one argument outside it.
+) -> int | None:
+    """An admissible superset of start whose range holds cover and at least
+    one argument outside it, the first the search reaches; None if there is
+    none.
 
     start must be admissible, and hit is the mask of what it attacks.  The
     depth-first search keeps each open set, what it attacks, its threat and
@@ -64,7 +74,7 @@ def _larger_admissible(
     """
     reach = af.full_mask & ~cover
     if not reach:
-        return False
+        return None
     attackers = af.attackers
     targets = af.targets
     # any set whose range meets reach holds an argument of reach or one of
@@ -90,7 +100,7 @@ def _larger_admissible(
                     u = (uncovered & -uncovered).bit_length() - 1
                     options = attackers[u] | (1 << u)
                 elif covered & reach:
-                    return True
+                    return node
                 else:
                     options = reach_options
             stack.append([node, hit, threat, options])
@@ -115,26 +125,43 @@ def _larger_admissible(
             threat = (threat | attackers[w]) & ~hit
             break
         else:
-            return False
+            return None
 
 
 def preferred_mask(
-    af: ArgumentationFramework, mask: int, cap: int | None = None
+    af: ArgumentationFramework,
+    mask: int,
+    cap: int | None = None,
+    sink: list[int] | None = None,
 ) -> bool:
+    """mask is preferred; else the admissible strict superset that the
+    search finds, if any, is appended to sink."""
     cap_gate(af, cap)
     if not adm_mask(af, mask):
         return False
     hit = attacked_mask(af, mask)
-    return not _larger_admissible(af, mask, hit, mask | hit)
+    larger = _larger_admissible(af, mask, hit, mask | hit)
+    if larger is not None and sink is not None:
+        sink.append(larger)
+    return larger is None
 
 
 def semistable_mask(
-    af: ArgumentationFramework, mask: int, cap: int | None = None
+    af: ArgumentationFramework,
+    mask: int,
+    cap: int | None = None,
+    sink: list[int] | None = None,
 ) -> bool:
+    """mask is semi-stable; else the range of the admissible set with a
+    strictly larger range that the search finds, if any, is appended to
+    sink."""
     cap_gate(af, cap)
     if not adm_mask(af, mask):
         return False
-    return not _larger_admissible(af, 0, 0, mask | attacked_mask(af, mask))
+    larger = _larger_admissible(af, 0, 0, mask | attacked_mask(af, mask))
+    if larger is not None and sink is not None:
+        sink.append(larger | attacked_mask(af, larger))
+    return larger is None
 
 
 def is_preferred(

@@ -17,7 +17,9 @@ equivalence checks in the gadget tests use that mode).
 Each entry validates its question with its problem's instances constructor
 and returns a YES witness only once check_witness, the paper's YES condition
 stated once, passes it.  Delta and enumerate_extensions test membership with
-sigma_member_mask; branching and check_witness read it off defect masks.
+sigma_member_mask, but for delta's prf/sem candidates, which _maximal_member
+searches only when no refuter of the solve dominates them.  Branching and
+check_witness read membership off defect masks.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .core import (
     ArgumentSet,
     Semantics,
     adm_mask,
+    attacked_mask,
     cf_mask,
     com_mask,
     iter_bits,
@@ -112,7 +115,8 @@ def enumerate_extensions(
     af: ArgumentationFramework, sigma: Semantics, cap: int | None = None
 ) -> tuple[ArgumentSet, ...]:
     """All sigma-extensions of af in canonical (cardinality, lexicographic)
-    order: the conflict-free sets that pass sigma_member_mask."""
+    order: the conflict-free sets that pass sigma_member_mask.  Under prf/sem
+    each set gets its own search; the delta walk's refuters play no part."""
     cap_gate(af, cap)
     chosen = [
         m for m in _conflict_free_masks(af) if sigma_member_mask(af, m, sigma, cap)
@@ -281,12 +285,37 @@ def _splits(d: int, inside: list[int], outside: list[int]) -> range:
     return range(min(d, len(inside)), low - 1, -1)
 
 
+def _maximal_member(
+    af: ArgumentationFramework, e: int, sigma: Semantics, cap: int, refuters: list[int]
+) -> bool:
+    """Membership of e in prf/sem(af).  refuters holds admissible sets (prf)
+    or their ranges (sem): e is out, with no search, if it (prf) or its range
+    (sem) lies strictly inside one; else the check runs, and what its search
+    finds joins refuters."""
+    # where the check's cap gate would raise
+    if af.n > cap:
+        raise CapExceeded(af.n, cap)
+    # a refuter that dominates e holds e, as a range holds its set
+    near = [t for t in refuters if not e & ~t]
+    if sigma is Semantics.PREFERRED:
+        check, key = preferred_mask, e
+    else:
+        check, key = semistable_mask, e | attacked_mask(af, e) if near else e
+    for t in near:
+        if not key & ~t and key != t:
+            return False
+    return check(af, e, cap, refuters)
+
+
 def _walk(
     instance: ProblemInstance, cap: int | None, require_nonempty: bool
 ) -> SolveResult:
     """Walk the conflict-free change sets of the question's spec, layer by
     layer.  The least sigma-extension of the first layer that holds any,
     under the canonical order, is the witness.
+
+    A prf/sem solve's refuters, for _maximal_member, start as the endpoints
+    that _spec has checked to be extensions (sem: their ranges).
     """
     af, sigma = instance.framework, instance.semantics
     anchor, first, last, inside, outside, allow_empty, _ = _spec(
@@ -295,6 +324,11 @@ def _walk(
     start = time.perf_counter()
     stats = SolveStats()
     cap = resolve_cap(cap)
+    maximal = sigma.needs_maximality
+    ends = (instance.e0, instance.e1, instance.e2)
+    refuters = [e.mask for e in ends if e is not None]
+    if sigma is Semantics.SEMI_STABLE:
+        refuters = [e | attacked_mask(af, e) for e in refuters]
     # the anchor's bits, read once: shifting a large anchor once per argument
     # would cost O(n) each time
     bits = f"{anchor:0{af.n}b}"[::-1]
@@ -308,7 +342,7 @@ def _walk(
     first_wins = not outside and not pools[0][0]
     # Otherwise a prf/sem layer keeps its admissible candidates and runs the
     # costly maximality check last, in canonical order, until one passes.
-    deferred = not first_wins and sigma.needs_maximality
+    deferred = not first_wins and maximal
     for d in range(first, last + 1):
         hits: list[int] = []
         for a in _splits(d, inside, outside):
@@ -322,13 +356,17 @@ def _walk(
                         raise CapExceeded(af.n, cap)
                     if adm_mask(af, e):
                         hits.append(e)
-                elif sigma_member_mask(af, e, sigma, cap):
+                elif (
+                    _maximal_member(af, e, sigma, cap, refuters)
+                    if maximal
+                    else sigma_member_mask(af, e, sigma, cap)
+                ):
                     hits.append(e)
                     if first_wins:
                         break
         hits.sort(key=mask_key)
         for e in hits:
-            if not deferred or sigma_member_mask(af, e, sigma, cap):
+            if not deferred or _maximal_member(af, e, sigma, cap, refuters):
                 check_witness(instance, e, require_nonempty, "delta")
                 return _result(af, e, stats, start)
     return _result(af, None, stats, start)

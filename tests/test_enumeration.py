@@ -20,7 +20,7 @@ from argudyn.core import iter_bits
 from argudyn.enumeration import preferred_mask, resolve_cap, semistable_mask
 from argudyn.solvers import sigma_member_mask
 from conftest import random_framework
-from oracles import oracle_admissible, oracle_extensions
+from oracles import oracle_admissible, oracle_extensions, oracle_range
 
 
 def _names(extensions):
@@ -153,6 +153,47 @@ def test_maximality_checks_match_oracle_on_every_subset():
                 members = frozenset(s.names)
                 assert preferred_mask(af, s.mask) == (members in prf), (af, s)
                 assert semistable_mask(af, s.mask) == (members in sem), (af, s)
+
+
+def test_a_refuter_that_dominates_a_set_rules_it_out():
+    # the delta walk skips a prf candidate lying strictly inside a refuter,
+    # and a sem candidate whose range lies strictly inside one; a refuter is
+    # what a failed search returns (sem: its range) or an extension
+    rng = random.Random(2027)
+    dominated = {"prf": 0, "sem": 0}
+    for n in range(1, 9):
+        for _ in range(10):
+            af = random_framework(rng, n)
+            attacks = set(af.attacks)
+            prf = oracle_extensions(af.arguments, attacks, "prf")
+            sem = oracle_extensions(af.arguments, attacks, "sem")
+
+            def range_of(members):
+                return af.mask_of(oracle_range(attacks, members))
+
+            admissible = [
+                s for s in af.all_subsets()
+                if oracle_admissible(attacks, frozenset(s.names))
+            ]
+            prf_refuters = [af.mask_of(e) for e in prf]
+            sem_refuters = [range_of(e) for e in sem]
+            for c in admissible:
+                # a check that says no hands over exactly one refuter
+                before = len(prf_refuters), len(sem_refuters)
+                is_prf = preferred_mask(af, c.mask, None, prf_refuters)
+                is_sem = semistable_mask(af, c.mask, None, sem_refuters)
+                assert len(prf_refuters) == before[0] + (not is_prf)
+                assert len(sem_refuters) == before[1] + (not is_sem)
+            for c in admissible:
+                members = frozenset(c.names)
+                for sigma, refuters, extensions, key in (
+                    ("prf", prf_refuters, prf, c.mask),
+                    ("sem", sem_refuters, sem, range_of(members)),
+                ):
+                    if any(not key & ~t and key != t for t in refuters):
+                        dominated[sigma] += 1
+                        assert members not in extensions, (af, c, sigma)
+    assert min(dominated.values()) > 100
 
 
 def test_a_set_whose_range_is_everything_is_semistable():

@@ -23,7 +23,8 @@ from argudyn import (
     small_instance,
 )
 from argudyn import enumeration, firstorder, solvers
-from argudyn.core import iter_bits
+from argudyn.core import adm_mask, iter_bits
+from argudyn.gadgets import cnf, gen_cnf_adjust, gen_cnf_center
 from argudyn.firstorder import (
     Eq,
     Forall,
@@ -619,6 +620,41 @@ def test_dispatch_calls_the_solvers_module_attributes(monkeypatch, f1):
         *(f"argudyn.solvers.{name}" for name in engines + members),
         "argudyn.enumeration.adm_mask",
     }
+
+
+
+@pytest.mark.parametrize(
+    "gen, formula, searches, witness",
+    [
+        # a NO question: the walk reaches its last layer
+        (gen_cnf_adjust, cnf(3, [(1,), (-1, 2), (-2, 3)]), 2, None),
+        # a YES question: the witness is a middle extension
+        (gen_cnf_center, cnf(4, [(1, 2), (-1, -2), (1, -2), (-1, 2), (3, 4)]), 3,
+         ("w1", "w2p")),
+    ],
+)
+@pytest.mark.parametrize("sigma", [Semantics.PREFERRED, Semantics.SEMI_STABLE])
+def test_a_prf_sem_solve_skips_the_searches_its_refuters_answer(
+    monkeypatch, gen, formula, searches, witness, sigma
+):
+    # the delta walk tests each prf/sem candidate against the endpoints it
+    # has checked and the larger sets earlier searches found, and runs the
+    # search only on a candidate none of them refutes; counted here are the
+    # checks that reach it, endpoint checks included (a walk that searched
+    # every admissible candidate ran 3 on adjust and 7 on center)
+    reached = [0]
+    name = "preferred_mask" if sigma is Semantics.PREFERRED else "semistable_mask"
+    check = getattr(solvers, name)
+
+    def counted(af, mask, *rest):
+        reached[0] += adm_mask(af, mask)
+        return check(af, mask, *rest)
+
+    monkeypatch.setattr(solvers, name, counted)
+    result = solve_instance(gen(formula, sigma).instance, cap=200)
+    assert result.answer is (witness is not None)
+    assert (result.witness and result.witness.names) == witness
+    assert reached[0] == searches
 
 
 def test_fo_adjust_and_center_take_no_cap(f1):
